@@ -1,10 +1,15 @@
 //! Lithography-engine benchmarks: aerial-image throughput, CD metrology,
 //! and the source-sampling accuracy/runtime ablation called out in
 //! DESIGN.md.
+//!
+//! The imaging engine folds the source into a cached TCC table, so the
+//! sample count shows up only in the one-off table build
+//! (`tcc_build/source_samples`, caches cleared every iteration); a warm
+//! image (`aerial_image/source_samples`) costs the same at every count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use svt_litho::{pitch_sweep, MaskCutline, Process};
+use svt_litho::{clear_imaging_caches, pitch_sweep, MaskCutline, Process};
 
 fn bench_aerial_image(c: &mut Criterion) {
     let process = Process::nm90();
@@ -24,6 +29,22 @@ fn bench_aerial_image(c: &mut Criterion) {
             BenchmarkId::new("source_samples", samples),
             &samples,
             |b, _| b.iter(|| std::hint::black_box(config.aerial_image(&mask, 100.0))),
+        );
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("tcc_build");
+    for &samples in &[8usize, 16, 24, 48] {
+        let config = sim.config().clone().with_source_samples(samples);
+        group.bench_with_input(
+            BenchmarkId::new("source_samples", samples),
+            &samples,
+            |b, _| {
+                b.iter(|| {
+                    clear_imaging_caches();
+                    std::hint::black_box(config.aerial_image(&mask, 100.0))
+                })
+            },
         );
     }
     group.finish();

@@ -51,8 +51,8 @@ fn main() {
     let process = Process::nm90();
     let sim = process.simulator();
 
-    // ---- Aerial image: transfer-table + FFT-plan caches -----------------
-    println!("[1/7] aerial image (cold vs warm transfer tables)...");
+    // ---- Aerial image: TCC-table + FFT-plan caches ----------------------
+    println!("[1/7] aerial image (cold vs warm TCC table)...");
     clear_litho_caches();
     let lines: Vec<(f64, f64)> = (-6..=6)
         .map(|k| {

@@ -181,8 +181,19 @@ fn thread_count_and_trace_mode_never_change_results() {
 
             let label = format!("SVT_THREADS={threads} SVT_TRACE={trace}");
             let (fp, cmp, trail) = run_flow_cold();
+            if trace == chrome {
+                // Whether the flow's own batches reach all 8 workers
+                // depends on timing: a fast batch drains before every
+                // worker has stolen a task. Eight tasks that wait on one
+                // barrier can only finish once 8 distinct workers hold
+                // one each, so the trace check below is deterministic.
+                let barrier = std::sync::Barrier::new(8);
+                svt_exec::par_map_threads(8, &[(); 8], |_| {
+                    barrier.wait();
+                });
+            }
             // The sign-off flow exercises the pitch-pair, OPC-row, and
-            // transfer-table caches (the CD memo serves only the
+            // TCC-table caches (the CD memo serves only the
             // line-array/isolated paths, which this flow does not hit —
             // its count still participates in the equality check below).
             assert!(

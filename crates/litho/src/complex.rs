@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The approved offline dependency set contains no complex-number crate, so
 /// the imaging engine carries its own minimal implementation. Only the
-/// operations the Abbe engine needs are provided.
+/// operations the imaging engine needs are provided.
 ///
 /// # Examples
 ///

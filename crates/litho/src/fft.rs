@@ -27,9 +27,12 @@ use crate::Complex;
 struct Plan {
     /// `bitrev[i]` is the bit-reversed index of `i`.
     bitrev: Vec<u32>,
-    /// `stages[s]` holds the `len/2` forward twiddles `cis(-2πk/len)` for
-    /// butterfly length `len = 2^(s+1)`; the inverse pass conjugates them.
-    stages: Vec<Vec<Complex>>,
+    /// `forward[s]` holds the `len/2` twiddles `cis(-2πk/len)` for
+    /// butterfly length `len = 2^(s+1)`.
+    forward: Vec<Vec<Complex>>,
+    /// The conjugates of `forward`, for the inverse pass (`conj` is exact,
+    /// so both directions use the same twiddle bits up to sign).
+    inverse: Vec<Vec<Complex>>,
 }
 
 impl Plan {
@@ -42,14 +45,22 @@ impl Plan {
                 j
             })
             .collect();
-        let mut stages = Vec::with_capacity(bits as usize);
+        let mut forward: Vec<Vec<Complex>> = Vec::with_capacity(bits as usize);
         let mut len = 2usize;
         while len <= n {
             let ang = -2.0 * PI / len as f64;
-            stages.push((0..len / 2).map(|k| Complex::cis(ang * k as f64)).collect());
+            forward.push((0..len / 2).map(|k| Complex::cis(ang * k as f64)).collect());
             len <<= 1;
         }
-        Plan { bitrev, stages }
+        let inverse = forward
+            .iter()
+            .map(|stage| stage.iter().map(|w| w.conj()).collect())
+            .collect();
+        Plan {
+            bitrev,
+            forward,
+            inverse,
+        }
     }
 }
 
@@ -82,7 +93,7 @@ pub fn next_pow2(n: usize) -> usize {
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn forward(data: &mut [Complex]) {
-    transform(data, -1.0);
+    transform(data, false);
 }
 
 /// In-place inverse FFT (including the `1/N` normalization).
@@ -91,14 +102,14 @@ pub fn forward(data: &mut [Complex]) {
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn inverse(data: &mut [Complex]) {
-    transform(data, 1.0);
+    transform(data, true);
     let scale = 1.0 / data.len() as f64;
     for z in data.iter_mut() {
         *z = z.scale(scale);
     }
 }
 
-fn transform(data: &mut [Complex], sign: f64) {
+fn transform(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
     if n <= 1 {
@@ -115,17 +126,22 @@ fn transform(data: &mut [Complex], sign: f64) {
         }
     }
 
-    // Butterflies, twiddles from the per-stage tables.
-    let inverse_pass = sign > 0.0;
-    for (stage, twiddles) in plan.stages.iter().enumerate() {
-        let len = 2usize << stage;
-        for start in (0..n).step_by(len) {
-            for (k, &tw) in twiddles.iter().enumerate() {
-                let w = if inverse_pass { tw.conj() } else { tw };
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
+    // Butterflies; the direction picks its twiddle tables once, so the
+    // inner loop is branch-free.
+    let stages = if inverse {
+        &plan.inverse
+    } else {
+        &plan.forward
+    };
+    for twiddles in stages {
+        let half = twiddles.len();
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+                let u = *a;
+                let v = *b * w;
+                *a = u + v;
+                *b = u - v;
             }
         }
     }

@@ -1,102 +1,234 @@
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use svt_exec::{qf64, CacheStats, MemoCache};
 
 use crate::fft::{self, bin_frequency};
-use crate::source::SourcePoint;
 use crate::{Complex, Illumination, LithoError, MaskCutline, Pupil};
 
-/// Key identifying one pupil-transfer table: pupil optics, grid size,
-/// window length, defocus, and source-point frequency shift — all keyed on
-/// exact `f64` bit patterns so distinct inputs never share a table.
-type TransferKey = (u64, u64, usize, u64, u64, u64);
+/// Revision of the imaging arithmetic, folded into
+/// [`LithoSimulator::identity`](crate::LithoSimulator::identity) and from
+/// there into every downstream memo key and the snapshot fingerprint.
+/// Bump it whenever a change to this module can move an intensity bit, so
+/// results of the old and new engine never share a cache entry or a
+/// snapshot. Revision 2 is the Hopkins TCC form (revision 1, implicit, was
+/// the per-source-point Abbe sum).
+pub(crate) const IMAGING_REVISION: u64 = 2;
 
-/// Sparse pupil-transfer table: `(bin, transfer)` for every bin the
-/// shifted pupil passes. At 90 nm optics over a 2 µm window only a few
-/// dozen of the ~1k bins survive the aperture, so storing the passband
-/// (and zero-filling the rest of the field) beats recomputing the
-/// trigonometry for every bin on every source point of every call.
-type TransferTable = Arc<Vec<(u32, Complex)>>;
+/// Key identifying one TCC table: pupil optics, source variant tag and
+/// both σ parameters, source sample count, grid size, window length and
+/// defocus — all keyed on exact `f64` bit patterns so distinct inputs never
+/// share a table.
+type TccKey = (u64, u64, u8, u64, u64, usize, usize, u64, u64);
 
-fn transfer_tables() -> &'static MemoCache<TransferKey, TransferTable> {
-    static TABLES: OnceLock<MemoCache<TransferKey, TransferTable>> = OnceLock::new();
+/// The Hopkins transmission cross coefficients of one imaging setup.
+///
+/// Abbe's sum `I(x) = Σ_s w_s·|IFFT(M·H_s)(x)|²` expands into the bilinear
+/// form `Σ_{k₁,k₂} M(k₁)·M*(k₂)·TCC(k₁,k₂)·e^{2πi(k₁−k₂)x/n}` with
+/// `TCC(k₁,k₂) = Σ_s w_s·H_s(k₁)·H_s*(k₂)`. Only the bins some shifted
+/// pupil passes (a few dozen of the ~2k at the library window) carry a
+/// coefficient, and the matrix is Hermitian, so the upper triangle over
+/// that union passband holds all of it.
+///
+/// The passband is stored in signed-frequency order, where every shifted
+/// pupil passes one contiguous run of bins. Row `a` of the triangle is
+/// then the contiguous band `b = a, a+1, …` up to the last bin any pupil
+/// passing `a` also passes, and entry `(a, a+j)` lands in output bin
+/// `(k_a − k_b) mod n = −j mod n` — implied by its offset in the row.
+#[derive(Default)]
+struct Tcc {
+    /// FFT bin of each passband position, in ascending signed frequency.
+    bins: Vec<u32>,
+    /// `(start, len)` of each row's band in `coeffs`.
+    rows: Vec<(u32, u32)>,
+    /// Row-major band coefficients; off-diagonal ones are doubled so the
+    /// real part of the triangle's image equals the full Hermitian sum.
+    coeffs: Vec<Complex>,
+}
+
+impl Tcc {
+    fn build(config: &ImagingConfig, n: usize, window: f64, defocus_nm: f64) -> Tcc {
+        let pupil = config.pupil;
+        // Signed bin index m ∈ [−n/2+1, n/2] ↔ FFT bin m mod n (the same
+        // convention as `bin_frequency`).
+        let half = (n / 2) as i64;
+        let (m_min, m_max) = (half + 1 - n as i64, half);
+        let bin = |m: i64| m.rem_euclid(n as i64) as usize;
+        let passes = |m: i64, shift: f64| pupil.passes(bin_frequency(bin(m), n, window) + shift);
+
+        // Each source point's passband: the contiguous run `lo..=hi` of
+        // signed bins its shifted pupil passes (points passing nothing
+        // contribute nothing and are dropped).
+        let runs: Vec<SourceRun> = config
+            .source
+            .sample_1d(config.source_samples)
+            .iter()
+            .filter_map(|p| {
+                let shift = p.s * pupil.cutoff();
+                let centre = ((-shift * window).round() as i64).clamp(m_min, m_max);
+                passes(centre, shift).then(|| {
+                    let (mut lo, mut hi) = (centre, centre);
+                    while lo > m_min && passes(lo - 1, shift) {
+                        lo -= 1;
+                    }
+                    while hi < m_max && passes(hi + 1, shift) {
+                        hi += 1;
+                    }
+                    SourceRun {
+                        weight: p.weight,
+                        shift,
+                        lo,
+                        hi,
+                    }
+                })
+            })
+            .collect();
+        let (Some(first), Some(last)) = (
+            runs.iter().map(|r| r.lo).min(),
+            runs.iter().map(|r| r.hi).max(),
+        ) else {
+            return Tcc::default();
+        };
+        let index = |m: i64| (m - first) as usize;
+
+        // Band length of each row: up to the furthest bin that a pupil
+        // passing the row's bin also passes.
+        let mut row_len = vec![0usize; index(last) + 1];
+        for run in &runs {
+            for m in run.lo..=run.hi {
+                let len = &mut row_len[index(m)];
+                *len = (*len).max((run.hi - m + 1) as usize);
+            }
+        }
+        let mut rows = Vec::with_capacity(row_len.len());
+        let mut total = 0usize;
+        for len in row_len {
+            rows.push((to_u32(total), to_u32(len)));
+            total += len;
+        }
+
+        // Σ_s w_s·H_s(a)·H_s*(b), one rank-1 update per source point over
+        // its own run, accumulated in source order.
+        let mut coeffs = vec![Complex::ZERO; total];
+        let mut transfer = Vec::new();
+        for run in &runs {
+            transfer.clear();
+            transfer.extend(
+                (run.lo..=run.hi).map(|m| {
+                    pupil.transfer(bin_frequency(bin(m), n, window) + run.shift, defocus_nm)
+                }),
+            );
+            for (i, &ha) in transfer.iter().enumerate() {
+                let ha = ha.scale(run.weight);
+                let start = rows[index(run.lo) + i].0 as usize;
+                for (c, &hb) in coeffs[start..].iter_mut().zip(&transfer[i..]) {
+                    *c += ha * hb.conj();
+                }
+            }
+        }
+        for &(start, len) in &rows {
+            for c in coeffs[start as usize..(start + len) as usize]
+                .iter_mut()
+                .skip(1)
+            {
+                *c = c.scale(2.0);
+            }
+        }
+        Tcc {
+            bins: (first..=last).map(|m| to_u32(bin(m))).collect(),
+            rows,
+            coeffs,
+        }
+    }
+
+    /// Heap bytes held by the table, for the cache budget.
+    fn bytes(&self) -> usize {
+        self.bins.len() * std::mem::size_of::<u32>()
+            + self.rows.len() * std::mem::size_of::<(u32, u32)>()
+            + self.coeffs.len() * std::mem::size_of::<Complex>()
+    }
+}
+
+/// The contiguous run of signed bins `lo..=hi` one source point's shifted
+/// pupil passes, with that point's weight and frequency shift.
+struct SourceRun {
+    weight: f64,
+    shift: f64,
+    lo: i64,
+    hi: i64,
+}
+
+fn to_u32(v: usize) -> u32 {
+    u32::try_from(v).expect("TCC index fits in u32")
+}
+
+/// Upper bound on the bytes of cached TCC tables. A library-window table
+/// (4 µm) is ~20 KB, but a table grows with the square of its window: a
+/// 100 µm full-chip OPC row needs ~11 MB. The budget holds the few row
+/// tables in use at once; when an insert would exceed it the cache is
+/// reset wholesale, like a full `MemoCache` shard. Rebuilt tables are
+/// bit-identical, so a reset costs time, never results.
+const TCC_CACHE_BYTES: usize = 32 << 20;
+
+/// Bytes currently charged against [`TCC_CACHE_BYTES`] (approximate under
+/// racing inserts; only the reset point depends on it).
+static TCC_CACHED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn tcc_tables() -> &'static MemoCache<TccKey, Arc<Tcc>> {
+    static TABLES: OnceLock<MemoCache<TccKey, Arc<Tcc>>> = OnceLock::new();
     static TELEMETRY: OnceLock<()> = OnceLock::new();
-    let cache = TABLES.get_or_init(MemoCache::default);
-    TELEMETRY.get_or_init(|| svt_exec::register_cache_telemetry("litho.transfer_tables", cache));
+    let cache = TABLES.get_or_init(|| MemoCache::new(4, 256));
+    TELEMETRY.get_or_init(|| svt_exec::register_cache_telemetry("litho.tcc_tables", cache));
     cache
 }
 
-/// Key for a sampled 1-D source: variant tag, both σ parameters, count.
-type SourceKey = (u8, u64, u64, usize);
-
-fn source_tables() -> &'static MemoCache<SourceKey, Arc<Vec<SourcePoint>>> {
-    static SOURCES: OnceLock<MemoCache<SourceKey, Arc<Vec<SourcePoint>>>> = OnceLock::new();
-    static TELEMETRY: OnceLock<()> = OnceLock::new();
-    let cache = SOURCES.get_or_init(|| MemoCache::new(4, 256));
-    TELEMETRY.get_or_init(|| svt_exec::register_cache_telemetry("litho.sources", cache));
-    cache
-}
-
-fn cached_source_points(source: Illumination, samples: usize) -> Arc<Vec<SourcePoint>> {
-    let key = match source {
-        Illumination::Conventional { sigma } => (0u8, qf64(sigma), 0, samples),
+fn cached_tcc(config: &ImagingConfig, n: usize, window: f64, defocus_nm: f64) -> Arc<Tcc> {
+    let (tag, sigma_a, sigma_b) = match config.source {
+        Illumination::Conventional { sigma } => (0u8, qf64(sigma), 0),
         Illumination::Annular {
             sigma_in,
             sigma_out,
-        } => (1u8, qf64(sigma_in), qf64(sigma_out), samples),
+        } => (1u8, qf64(sigma_in), qf64(sigma_out)),
     };
-    source_tables().get_or_insert_with(key, || Arc::new(source.sample_1d(samples)))
-}
-
-fn cached_transfer_table(
-    pupil: Pupil,
-    n: usize,
-    window: f64,
-    defocus_nm: f64,
-    f_shift: f64,
-) -> TransferTable {
     let key = (
-        qf64(pupil.wavelength_nm()),
-        qf64(pupil.na()),
+        qf64(config.pupil.wavelength_nm()),
+        qf64(config.pupil.na()),
+        tag,
+        sigma_a,
+        sigma_b,
+        config.source_samples,
         n,
         qf64(window),
         qf64(defocus_nm),
-        qf64(f_shift),
     );
-    transfer_tables().get_or_insert_with(key, || {
-        let table: Vec<(u32, Complex)> = (0..n)
-            .filter_map(|k| {
-                let f = bin_frequency(k, n, window) + f_shift;
-                if pupil.passes(f) {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let bin = k as u32;
-                    Some((bin, pupil.transfer(f, defocus_nm)))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        Arc::new(table)
+    tcc_tables().get_or_insert_with(key, || {
+        let tcc = Tcc::build(config, n, window, defocus_nm);
+        let bytes = tcc.bytes();
+        if TCC_CACHED_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes > TCC_CACHE_BYTES {
+            clear_imaging_caches();
+            TCC_CACHED_BYTES.store(bytes, Ordering::Relaxed);
+        }
+        Arc::new(tcc)
     })
 }
 
-/// Drops every imaging-layer cache (transfer tables and sampled sources).
+/// Drops every imaging-layer cache (the TCC tables; FFT plans are kept).
 pub fn clear_imaging_caches() {
-    transfer_tables().clear();
-    source_tables().clear();
+    tcc_tables().clear();
+    TCC_CACHED_BYTES.store(0, Ordering::Relaxed);
 }
 
-/// Hit/miss counters of the pupil-transfer table cache.
+/// Hit/miss counters of the TCC table cache.
 #[must_use]
 pub fn transfer_cache_stats() -> CacheStats {
-    transfer_tables().stats()
+    tcc_tables().stats()
 }
 
 thread_local! {
-    /// Per-thread FFT scratch (spectrum, field) reused across calls so the
-    /// inner loop allocates nothing.
+    /// Per-thread scratch (full spectrum, gathered passband) reused across
+    /// calls so the inner loop allocates nothing.
     static FFT_SCRATCH: RefCell<(Vec<Complex>, Vec<Complex>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -128,9 +260,10 @@ pub struct ImagingConfig {
 impl ImagingConfig {
     /// Creates an imaging configuration.
     ///
-    /// `source_samples` controls the Abbe source discretization (accuracy vs
-    /// runtime; 16–32 is ample for 1-D work) and `grid_nm` the spatial
-    /// sampling of mask and image.
+    /// `source_samples` controls the source discretization (16–32 is ample
+    /// for 1-D work). It costs time only in the one-off TCC build of each
+    /// (window, defocus) setup; a cached image costs the same at any count.
+    /// `grid_nm` sets the spatial sampling of mask and image.
     ///
     /// # Panics
     ///
@@ -177,7 +310,12 @@ impl ImagingConfig {
     }
 
     /// Returns a copy with a different source sampling density (used by the
-    /// accuracy-vs-runtime ablation bench).
+    /// accuracy-vs-runtime ablation bench; the density only changes the
+    /// cost of the one-off TCC build).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
     #[must_use]
     pub fn with_source_samples(mut self, n: usize) -> ImagingConfig {
         assert!(n >= 2, "need at least 2 source samples");
@@ -208,12 +346,15 @@ impl ImagingConfig {
 
     /// Computes the aerial image of a mask cutline at the given defocus.
     ///
-    /// Abbe's method: for each sampled source point `s`, the mask spectrum is
-    /// filtered by the pupil shifted to `f + s·NA/λ` (with the defocus phase
-    /// evaluated at the *shifted* frequency, i.e. the true propagation
-    /// angle), transformed back to space, and the intensities `|A_s(x)|²`
-    /// are accumulated with the source weights. A fully clear mask images to
-    /// intensity 1 everywhere, which anchors the resist-threshold scale.
+    /// The Hopkins TCC form of the Abbe source integral: each sampled
+    /// source point `s` shifts the pupil to `f + s·NA/λ` (with the defocus
+    /// phase evaluated at the *shifted* frequency, i.e. the true
+    /// propagation angle), and the weighted sum of the partial intensities
+    /// `|A_s(x)|²` is folded into a cached table of transmission cross
+    /// coefficients. Per image that leaves one forward FFT of the mask, a
+    /// bilinear sum over the passband bins, and one inverse FFT. A fully
+    /// clear mask images to intensity 1 everywhere, which anchors the
+    /// resist-threshold scale.
     #[must_use]
     pub fn aerial_image(&self, mask: &MaskCutline, defocus_nm: f64) -> AerialImage {
         if svt_obs::enabled() {
@@ -224,36 +365,33 @@ impl ImagingConfig {
             svt_obs::instant("litho.aerial_image");
         }
         let n = mask.samples().len();
-        let window = mask.length();
+        let tcc = cached_tcc(self, n, mask.length(), defocus_nm);
 
-        let f_cutoff = self.pupil.cutoff();
-        let points = cached_source_points(self.source, self.source_samples);
-
-        let mut intensity = vec![0.0f64; n];
-        FFT_SCRATCH.with(|scratch| {
-            let (spectrum, field) = &mut *scratch.borrow_mut();
+        let intensity = FFT_SCRATCH.with(|scratch| {
+            let (spectrum, passband) = &mut *scratch.borrow_mut();
 
             // Mask spectrum (unnormalized forward FFT).
             spectrum.clear();
             spectrum.extend(mask.samples().iter().map(|&t| Complex::from(t)));
             fft::forward(spectrum);
 
-            field.clear();
-            field.resize(n, Complex::ZERO);
-            for p in points.iter() {
-                let f_shift = p.s * f_cutoff;
-                // Sparse fill: bins outside the shifted aperture are exact
-                // zeros, so only the cached passband needs the product.
-                let table = cached_transfer_table(self.pupil, n, window, defocus_nm, f_shift);
-                field.fill(Complex::ZERO);
-                for &(k, transfer) in table.iter() {
-                    field[k as usize] = spectrum[k as usize] * transfer;
-                }
-                fft::inverse(field);
-                for (i, a) in field.iter().enumerate() {
-                    intensity[i] += p.weight * a.norm_sqr();
+            passband.clear();
+            passband.extend(tcc.bins.iter().map(|&k| spectrum[k as usize]));
+
+            // Intensity spectrum Ĩ[d] = Σ M(k₁)·M*(k₂)·TCC(k₁,k₂) over the
+            // triangle, reusing the spectrum buffer. Entry (a, a+j) lands in
+            // bin −j mod n (see `Tcc`).
+            spectrum.fill(Complex::ZERO);
+            for (a, &(start, len)) in tcc.rows.iter().enumerate() {
+                let m1 = passband[a];
+                let band = &tcc.coeffs[start as usize..(start + len) as usize];
+                for (j, (&t, &m2)) in band.iter().zip(&passband[a..]).enumerate() {
+                    spectrum[(n - j) & (n - 1)] += m1 * m2.conj() * t;
                 }
             }
+            fft::inverse(spectrum);
+            let scale = 1.0 / n as f64;
+            spectrum.iter().map(|z| z.re * scale).collect()
         });
 
         AerialImage {

@@ -2,8 +2,9 @@
 //!
 //! The DAC 2004 methodology this workspace reproduces consumed a commercial
 //! lithography simulator (PROLITH 8.0). This crate replaces it with a
-//! from-scratch Abbe imaging engine specialised to the 1-D line/space
-//! patterns that matter for polysilicon gates:
+//! from-scratch partially coherent imaging engine (the Hopkins TCC form of
+//! the Abbe source integral) specialised to the 1-D line/space patterns
+//! that matter for polysilicon gates:
 //!
 //! * [`fft`] — radix-2 complex FFT (no external FFT crate exists in the
 //!   approved dependency set),
@@ -56,8 +57,8 @@ pub use imaging::{clear_imaging_caches, transfer_cache_stats, AerialImage, Imagi
 pub use simulator::{cd_cache_stats, clear_cd_cache};
 
 /// Drops every cache in the crate: FFT plans are kept (they are tiny and
-/// size-keyed), pupil-transfer tables, sampled sources, and memoized CDs
-/// are cleared. Benchmarks call this between cold-cache measurements.
+/// size-keyed), TCC tables and memoized CDs are cleared. Benchmarks call
+/// this between cold-cache measurements.
 pub fn clear_litho_caches() {
     clear_imaging_caches();
     clear_cd_cache();

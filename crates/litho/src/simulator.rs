@@ -4,12 +4,13 @@ use serde::{Deserialize, Serialize};
 use svt_exec::{qf64, quantize_f64, unquantize_f64, CacheStats, MemoCache};
 
 use crate::cd::{measure_cd_at, PrintedCd, ThresholdResist};
+use crate::imaging::IMAGING_REVISION;
 use crate::{AerialImage, Illumination, ImagingConfig, LithoError, MaskCutline};
 
 /// Memo key for a printed CD: pattern kind, full simulator identity (exact
 /// bit patterns of every field that influences the image), and the four
 /// quantized pattern parameters.
-type CdKey = (u8, [u64; 9], i64, i64, i64, i64);
+type CdKey = (u8, [u64; 10], i64, i64, i64, i64);
 
 const PATTERN_LINE_ARRAY: u8 = 0;
 const PATTERN_ISOLATED: u8 = 1;
@@ -180,11 +181,13 @@ impl LithoSimulator {
     }
 
     /// Exact identity of every simulator field that influences a printed
-    /// CD, embedded in memo keys so distinct simulators never share one.
+    /// CD, plus the imaging-engine revision, embedded in memo keys so
+    /// distinct simulators (or engine generations) never share one.
     /// Downstream crates (OPC, library expansion) fold this into their own
-    /// cache keys for the same reason.
+    /// cache keys, and the snapshot fingerprint into its gate, for the same
+    /// reason.
     #[must_use]
-    pub fn identity(&self) -> [u64; 9] {
+    pub fn identity(&self) -> [u64; 10] {
         let (tag, sigma_a, sigma_b) = match self.config.source() {
             Illumination::Conventional { sigma } => (0u64, qf64(sigma), 0),
             Illumination::Annular {
@@ -202,6 +205,7 @@ impl LithoSimulator {
             qf64(self.config.grid_nm()),
             qf64(self.resist.threshold()),
             qf64(self.etch_bias_nm),
+            IMAGING_REVISION,
         ]
     }
 
@@ -457,6 +461,13 @@ mod tests {
             (semi - sparse).abs() > 0.5,
             "no through-pitch bias: {semi} vs {sparse}"
         );
+    }
+
+    #[test]
+    fn identity_carries_the_imaging_engine_revision() {
+        // Memo keys and the snapshot fingerprint separate engine
+        // generations only because the revision is part of the identity.
+        assert_eq!(sim().identity().last(), Some(&IMAGING_REVISION));
     }
 
     #[test]

@@ -74,11 +74,11 @@ impl LibraryOpc {
     /// Exact fingerprint of the engine and dummy environment, for embedding
     /// in downstream memo-cache keys.
     #[must_use]
-    pub fn identity(&self) -> [u64; 17] {
-        let mut id = [0u64; 17];
-        id[..15].copy_from_slice(&self.opc.identity());
-        id[15] = svt_exec::qf64(self.dummy_space_nm);
-        id[16] = svt_exec::qf64(self.dummy_width_nm);
+    pub fn identity(&self) -> [u64; 18] {
+        let mut id = [0u64; 18];
+        id[..16].copy_from_slice(&self.opc.identity());
+        id[16] = svt_exec::qf64(self.dummy_space_nm);
+        id[17] = svt_exec::qf64(self.dummy_width_nm);
         id
     }
 

@@ -118,15 +118,15 @@ impl ModelOpc {
     /// influences a corrected mask, for embedding in downstream memo-cache
     /// keys (engines with any differing parameter never share an entry).
     #[must_use]
-    pub fn identity(&self) -> [u64; 15] {
-        let mut id = [0u64; 15];
-        id[..9].copy_from_slice(&self.model.identity());
-        id[9] = self.options.max_sweeps as u64;
-        id[10] = qf64(self.options.damping);
-        id[11] = qf64(self.options.mask_grid_nm);
-        id[12] = qf64(self.options.min_mask_width_nm);
-        id[13] = qf64(self.options.min_mask_space_nm);
-        id[14] = qf64(self.options.tolerance_nm);
+    pub fn identity(&self) -> [u64; 16] {
+        let mut id = [0u64; 16];
+        id[..10].copy_from_slice(&self.model.identity());
+        id[10] = self.options.max_sweeps as u64;
+        id[11] = qf64(self.options.damping);
+        id[12] = qf64(self.options.mask_grid_nm);
+        id[13] = qf64(self.options.min_mask_width_nm);
+        id[14] = qf64(self.options.min_mask_space_nm);
+        id[15] = qf64(self.options.tolerance_nm);
         id
     }
 

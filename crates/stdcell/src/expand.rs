@@ -189,7 +189,7 @@ impl PitchCdTable {
 
 /// Key of one pitch-table entry: sign-off identity, OPC-engine identity,
 /// and exact bits of (drawn, left spacing, right spacing).
-pub type PitchPairKey = ([u64; 9], [u64; 15], u64, u64, u64);
+pub type PitchPairKey = ([u64; 10], [u64; 16], u64, u64, u64);
 type PairKey = PitchPairKey;
 
 fn pair_cache() -> &'static MemoCache<PairKey, f64> {
@@ -202,7 +202,7 @@ fn pair_cache() -> &'static MemoCache<PairKey, f64> {
 
 /// Key of one library-OPC row: engine identity, exact bits of every gate
 /// `(center, drawn)`, and the cell width (`cell_lo` is always 0 here).
-pub type OpcRowKey = ([u64; 17], Vec<(u64, u64)>, u64);
+pub type OpcRowKey = ([u64; 18], Vec<(u64, u64)>, u64);
 type RowKey = OpcRowKey;
 
 fn row_cache() -> &'static MemoCache<RowKey, Vec<f64>> {

@@ -9,7 +9,7 @@
 //! | Crate | Substrate |
 //! |---|---|
 //! | [`geom`] | nm-grid layout geometry |
-//! | [`litho`] | Abbe partially coherent aerial-image simulation |
+//! | [`litho`] | Partially coherent aerial-image simulation (Hopkins TCC form of the Abbe source integral) |
 //! | [`opc`] | model-based / library-based OPC + SRAFs |
 //! | [`stdcell`] | 10-cell 90 nm-class library, NLDM, 81-context expansion |
 //! | [`netlist`] | `.bench` netlists, ISCAS85-profile generation, mapping |
