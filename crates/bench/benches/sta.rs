@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile};
-use svt_sta::{analyze, CellBinding, TimingOptions};
+use svt_sta::{analyze, AnalysisInputs, CellBinding, TimingOptions};
 use svt_stdcell::Library;
 
 fn bench_analysis_scaling(c: &mut Criterion) {
@@ -18,7 +18,10 @@ fn bench_analysis_scaling(c: &mut Criterion) {
         let binding = CellBinding::nominal(&mapped, &library).expect("binding succeeds");
         let options = TimingOptions::default();
         group.bench_with_input(BenchmarkId::new("benchmark", name), name, |b, _| {
-            b.iter(|| analyze(&mapped, &binding, &options).expect("analysis succeeds"))
+            b.iter(|| {
+                analyze(&mapped, &binding, &options, &AnalysisInputs::default())
+                    .expect("analysis succeeds")
+            })
         });
     }
     group.finish();

@@ -10,7 +10,8 @@ use svt_netlist::MappedNetlist;
 use svt_obs::audit::{AuditTrail, CornerDelay, InstanceAudit, PathAudit, TrimRecord};
 use svt_place::{DeviceSite, Placement, PlacementOptions};
 use svt_sta::{
-    analyze_full_in, CellBinding, SharedTopology, StaError, StaState, TimingOptions, TimingReport,
+    analyze, AnalysisInputs, CellBinding, SharedTopology, StaError, StaState, TimingOptions,
+    TimingReport,
 };
 use svt_stdcell::{
     Cell, CellContext, CharacterizeOptions, CharacterizedCell, ExpandedLibrary, Library,
@@ -262,12 +263,13 @@ pub fn characterize_corner(
 ///
 /// Keeping the [`StaState`] (not just the [`TimingReport`]) is what lets
 /// `svt-eco` re-sign-off incrementally: [`svt_sta::analyze_incremental`]
-/// resumes from this state and recomputes only the cones an edit dirtied.
+/// resumes from this state, under the timing options it carries, and
+/// recomputes only the cones an edit dirtied.
 #[derive(Debug, Clone)]
 pub struct CornerAnalysis {
     /// Per-instance characterized cells the corner was analyzed with.
     pub binding: CellBinding,
-    /// Full propagation state ([`svt_sta::analyze_full`] output).
+    /// Full propagation state ([`svt_sta::analyze`] output).
     pub state: StaState,
 }
 
@@ -485,6 +487,23 @@ impl<'a> SignoffFlow<'a> {
         Ok(topo)
     }
 
+    /// One corner's full analysis against the flow's shared topology and
+    /// a pooled scratch arena.
+    fn analyze_corner(
+        &self,
+        netlist: &MappedNetlist,
+        binding: &CellBinding,
+    ) -> Result<StaState, StaError> {
+        let topo = self.topo_for(netlist, binding)?;
+        let scratch = self.caches.scratch.checkout();
+        let inputs = AnalysisInputs {
+            topology: Some(&topo),
+            scratch: Some(&scratch),
+            ..AnalysisInputs::default()
+        };
+        analyze(netlist, binding, &self.options.timing, &inputs)
+    }
+
     /// The flow options.
     #[must_use]
     pub fn options(&self) -> &SignoffOptions {
@@ -581,9 +600,7 @@ impl<'a> SignoffFlow<'a> {
         try_par_map(&lengths, |&l| -> Result<CornerAnalysis, FlowError> {
             let _corner = svt_obs::span("core.signoff.traditional.corner");
             let binding = self.uniform_scaled_cached(netlist, l)?;
-            let topo = self.topo_for(netlist, &binding)?;
-            let scratch = self.caches.scratch.checkout();
-            let state = analyze_full_in(netlist, &binding, &self.options.timing, &topo, &scratch)?;
+            let state = self.analyze_corner(netlist, &binding)?;
             Ok(CornerAnalysis { binding, state })
         })
     }
@@ -706,9 +723,7 @@ impl<'a> SignoffFlow<'a> {
                 self.characterize_instance_cached(netlist, idx, &contexts, &classes, corner)
             })?;
             let binding = CellBinding::new_shared(netlist, cells)?;
-            let topo = self.topo_for(netlist, &binding)?;
-            let scratch = self.caches.scratch.checkout();
-            let state = analyze_full_in(netlist, &binding, &self.options.timing, &topo, &scratch)?;
+            let state = self.analyze_corner(netlist, &binding)?;
             analyses.push(CornerAnalysis { binding, state });
         }
 

@@ -7,7 +7,8 @@
 //! net with placement-dependent wire capacitance. This module estimates it
 //! the standard pre-route way: the half-perimeter of the bounding box of
 //! the net's pins, scaled by a capacitance-per-length coefficient, fed to
-//! [`svt_sta::analyze_with_wire_caps`].
+//! [`svt_sta::analyze`] through
+//! [`svt_sta::AnalysisInputs::wire_caps_pf`].
 
 use std::collections::HashMap;
 
@@ -87,7 +88,14 @@ mod tests {
     use super::*;
     use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile};
     use svt_place::{place, PlacementOptions};
-    use svt_sta::{analyze, analyze_with_wire_caps, CellBinding, TimingOptions};
+    use svt_sta::{analyze, AnalysisInputs, CellBinding, TimingOptions};
+
+    fn with_caps(caps: &HashMap<String, f64>) -> AnalysisInputs<'_> {
+        AnalysisInputs {
+            wire_caps_pf: Some(caps),
+            ..AnalysisInputs::default()
+        }
+    }
 
     fn setup() -> (Library, MappedNetlist, Placement) {
         let library = Library::svt90();
@@ -117,11 +125,13 @@ mod tests {
         let caps = hpwl_wire_caps(&mapped, &placement, &library, DEFAULT_CAP_PER_NM_PF).unwrap();
         let binding = CellBinding::nominal(&mapped, &library).unwrap();
         let opts = TimingOptions::default();
-        let bare = analyze(&mapped, &binding, &opts)
+        let bare = analyze(&mapped, &binding, &opts, &AnalysisInputs::default())
             .unwrap()
+            .report()
             .circuit_delay_ns();
-        let loaded = analyze_with_wire_caps(&mapped, &binding, &opts, &caps)
+        let loaded = analyze(&mapped, &binding, &opts, &with_caps(&caps))
             .unwrap()
+            .report()
             .circuit_delay_ns();
         assert!(
             loaded > bare,
@@ -163,8 +173,7 @@ mod tests {
         let binding = CellBinding::nominal(&mapped, &library).unwrap();
         let mut caps = HashMap::new();
         caps.insert("nonexistent".to_string(), -1.0);
-        assert!(
-            analyze_with_wire_caps(&mapped, &binding, &TimingOptions::default(), &caps).is_err()
-        );
+        let opts = TimingOptions::default();
+        assert!(analyze(&mapped, &binding, &opts, &with_caps(&caps)).is_err());
     }
 }

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use svt_netlist::MappedNetlist;
 use svt_place::Placement;
-use svt_sta::{analyze, CellBinding, TimingOptions};
+use svt_sta::{analyze, AnalysisInputs, CellBinding, TimingOptions};
 use svt_stdcell::{characterize, CellContext, CharacterizeOptions, ExpandedLibrary, Library};
 
 use crate::flow::FlowError;
@@ -260,8 +260,8 @@ impl<'a> MonteCarloSta<'a> {
                 cells.push(characterize(cell, &lengths, "mc", opts.characterize)?);
             }
             let binding = CellBinding::new(netlist, cells)?;
-            let report = analyze(netlist, &binding, &opts.timing)?;
-            delays.push(report.circuit_delay_ns());
+            let state = analyze(netlist, &binding, &opts.timing, &AnalysisInputs::default())?;
+            delays.push(state.report().circuit_delay_ns());
         }
         delays.sort_by(f64::total_cmp);
         Ok(DelayDistribution {
@@ -337,8 +337,9 @@ mod tests {
         let corners = opts.budget.traditional_corners(90.0);
         let delay_at = |l: f64| {
             let b = CellBinding::uniform_scaled(&mapped, &library, l).expect("binding");
-            analyze(&mapped, &b, &opts.timing)
+            analyze(&mapped, &b, &opts.timing, &AnalysisInputs::default())
                 .expect("sta")
+                .report()
                 .circuit_delay_ns()
         };
         let corner_spread = delay_at(corners.wc_nm) - delay_at(corners.bc_nm);

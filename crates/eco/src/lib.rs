@@ -25,7 +25,8 @@
 //! * **Timing dirt** — the rebound instances seed
 //!   [`svt_sta::analyze_incremental`], which re-propagates arrivals only
 //!   through the forward fan-out cone and required times only through the
-//!   fan-in cone, per corner, across the `svt-exec` worker pool.
+//!   fan-in cone, per corner, across the `svt-exec` worker pool, under
+//!   the timing options each corner state was signed off with.
 //!
 //! The result of each edit is a [`DeltaReport`]: changed endpoints with
 //! per-corner slack deltas, the traditional-vs-aware spread movement, and

@@ -10,7 +10,7 @@ use svt_exec::{try_par_map, MemoCache, ScratchPool};
 use svt_netlist::MappedNetlist;
 use svt_obs::audit::{AuditTrail, DeltaAudit, InstanceAudit, PathAudit};
 use svt_place::{DeviceSite, Placement};
-use svt_sta::{analyze_incremental_in, CellBinding, IncrementalStats, StaState};
+use svt_sta::{analyze_incremental, CellBinding, IncrementalStats, StaState};
 use svt_stdcell::{invalidate_pitch_pairs, CharacterizedCell};
 
 use crate::{DeltaReport, EcoEdit, EcoError, EndpointDelta};
@@ -206,7 +206,8 @@ impl<'a> EcoSession<'a> {
     /// re-extracted and only instances whose context or classes actually
     /// changed are re-characterized (memoized per cell/context/classes/
     /// corner). Timing dirt is bounded by the edit's fan-out and fan-in
-    /// cones via [`svt_sta::analyze_incremental`], run across all six
+    /// cones via [`svt_sta::analyze_incremental`] (which reuses the
+    /// options each corner state was analyzed with), run across all six
     /// corners on the worker pool; traditional corners are skipped
     /// entirely when the cell master did not change.
     ///
@@ -443,7 +444,6 @@ impl<'a> EcoSession<'a> {
             )
             .collect();
         let netlist = &self.netlist;
-        let timing = &self.flow.options().timing;
         let scratch_pool = &self.scratch;
         let results: Vec<(StaState, IncrementalStats)> =
             try_par_map(&jobs, |&(binding, prev, seeds)| -> Result<_, EcoError> {
@@ -451,8 +451,8 @@ impl<'a> EcoSession<'a> {
                     return Ok((prev.clone(), IncrementalStats::default()));
                 }
                 let scratch = scratch_pool.checkout();
-                Ok(analyze_incremental_in(
-                    netlist, binding, timing, prev, seeds, &scratch,
+                Ok(analyze_incremental(
+                    netlist, binding, prev, seeds, &scratch,
                 )?)
             })?;
         drop(jobs);

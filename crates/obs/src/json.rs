@@ -116,6 +116,27 @@ impl JsonValue {
     }
 }
 
+/// Formats an `f64` as a JSON number that round-trips bit-exactly:
+/// `{:?}` is Rust's shortest-round-trip form, and [`JsonValue::parse`]
+/// reads its exponent notation. Non-finite values, which JSON cannot
+/// carry, render as `null`.
+///
+/// ```
+/// use svt_obs::json::fmt_f64;
+///
+/// assert_eq!(fmt_f64(1.0), "1.0");
+/// assert_eq!(fmt_f64(1e-7), "1e-7");
+/// assert_eq!(fmt_f64(f64::NAN), "null");
+/// ```
+#[must_use]
+pub fn fmt_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Escapes a string for embedding inside a JSON string literal.
 #[must_use]
 pub fn escape_json(s: &str) -> String {

@@ -88,7 +88,12 @@ pub fn record(stack: &str, wall_ns: u64, alloc_bytes: u64) {
     let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(stack);
     let shard = &shards()[(hash >> 32) as usize & (SHARDS - 1)];
     let mut map = lock_recovering(shard);
-    let agg = map.entry(stack.to_string()).or_default();
+    // Look up before inserting: `entry` would allocate the key on every
+    // span drop, not just on a stack's first sight.
+    let agg = match map.get_mut(stack) {
+        Some(agg) => agg,
+        None => map.entry(stack.to_string()).or_default(),
+    };
     agg.count += 1;
     agg.wall_ns += wall_ns;
     agg.alloc_bytes += alloc_bytes;

@@ -27,6 +27,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::json::fmt_f64;
+
 /// One aggregated observation bucket. Merging two bins adds counts and
 /// sums and widens the min/max envelope, so downsampling conserves the
 /// sample count and never invents values outside the observed range.
@@ -263,22 +265,14 @@ impl QueryResult {
                 "{{\"ts_ms\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"avg\":{}}}",
                 p.ts_ms,
                 p.bin.count,
-                fmt_json_f64(p.bin.sum),
-                fmt_json_f64(p.bin.min),
-                fmt_json_f64(p.bin.max),
-                fmt_json_f64(p.bin.avg())
+                fmt_f64(p.bin.sum),
+                fmt_f64(p.bin.min),
+                fmt_f64(p.bin.max),
+                fmt_f64(p.bin.avg())
             ));
         }
         out.push_str("]}");
         out
-    }
-}
-
-fn fmt_json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -41,7 +41,7 @@ use svt_eco::{DeltaReport, EcoEdit, EcoError, EcoSession};
 use svt_exec::service::ServicePool;
 use svt_litho::Process;
 use svt_netlist::{bench, technology_map};
-use svt_obs::json::{escape_json, JsonValue};
+use svt_obs::json::{escape_json, fmt_f64, JsonValue};
 use svt_place::{place, PlacementOptions};
 use svt_stdcell::{expand_library, ExpandOptions, ExpandedLibrary, Library};
 
@@ -436,18 +436,6 @@ impl ServiceState {
     /// work completes. Idempotent.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-    }
-}
-
-/// Formats an `f64` so it survives a JSON round-trip bit-exactly: `{:?}`
-/// is Rust's shortest-round-trip form and the shared
-/// [`svt_obs::json`] parser reads exponent notation. Non-finite values
-/// (never produced by the flow) degrade to `null`.
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
     }
 }
 

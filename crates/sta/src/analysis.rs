@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use svt_exec::ScratchArena;
 use svt_netlist::MappedNetlist;
-use svt_stdcell::Library;
 
 use crate::incremental::{SharedTopology, StaState, Topology};
 use crate::report::{FromRef, TimingReport};
@@ -49,6 +48,24 @@ impl Default for TimingOptions {
     }
 }
 
+/// The optional inputs of [`analyze`]. `Default` means none: no wire
+/// caps, a topology interned for this call, and a private scratch arena.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AnalysisInputs<'a> {
+    /// Per-net wire capacitances (pF) added on top of the per-fanout
+    /// lump — the hook for placement-extracted parasitics (see
+    /// `svt_core::hpwl_wire_caps`). Nets absent from the map get only the
+    /// per-fanout lump; caps on nets outside the netlist load nothing.
+    pub wire_caps_pf: Option<&'a HashMap<String, f64>>,
+    /// The interned connectivity of this design, built once for repeated
+    /// analyses. It is verified (O(connections), no allocation) rather
+    /// than rebuilt.
+    pub topology: Option<&'a SharedTopology>,
+    /// Arena for the pass's temporaries, so repeated warm analyses (the
+    /// six sign-off corners) allocate only their result vectors.
+    pub scratch: Option<&'a ScratchArena>,
+}
+
 /// Runs static timing analysis on a bound netlist.
 ///
 /// Levelized propagation: nets driven by primary inputs start at arrival 0
@@ -56,113 +73,53 @@ impl Default for TimingOptions {
 /// nets are resolved; each arc contributes `arrival(input) + delay(slew,
 /// load)`; arrivals and slews merge by max (late) or min (early).
 ///
+/// Returns the full [`StaState`] (report plus the net loads, per-arc
+/// delays, completion order, and the options and wire caps it was
+/// computed with), which [`analyze_incremental`](crate::analyze_incremental)
+/// advances after an edit. Callers that need only the timing use
+/// [`StaState::report`] or [`StaState::into_report`].
+///
 /// # Errors
 ///
-/// * [`StaError::InvalidOptions`] for non-positive boundary conditions,
+/// * [`StaError::InvalidOptions`] for non-positive boundary conditions or
+///   a negative wire cap,
+/// * [`StaError::InvalidBinding`] when `netlist`/`binding` no longer match
+///   `inputs.topology`,
 /// * [`StaError::CombinationalCycle`] if the netlist cannot be levelized,
 /// * [`StaError::MissingTiming`] when a bound variant lacks an arc for a
 ///   connected input pin.
+#[allow(clippy::too_many_lines)]
 pub fn analyze(
     netlist: &MappedNetlist,
     binding: &CellBinding,
     options: &TimingOptions,
-) -> Result<TimingReport, StaError> {
-    analyze_with_wire_caps(netlist, binding, options, &HashMap::new())
-}
-
-/// Like [`analyze`], with explicit per-net wire capacitances (pF) added on
-/// top of the per-fanout lump — the hook for placement-extracted
-/// parasitics (see `svt_core::hpwl_wire_caps`). Nets absent from the map
-/// get only the per-fanout lump.
-///
-/// # Errors
-///
-/// See [`analyze`].
-pub fn analyze_with_wire_caps(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
-) -> Result<TimingReport, StaError> {
-    analyze_full_with_wire_caps(netlist, binding, options, wire_caps_pf).map(StaState::into_report)
-}
-
-/// Like [`analyze`], but returns the full [`StaState`] (report plus the
-/// net loads, per-arc delays, and completion order) so the analysis can
-/// later be advanced incrementally with
-/// [`analyze_incremental`](crate::analyze_incremental).
-///
-/// # Errors
-///
-/// See [`analyze`].
-pub fn analyze_full(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-) -> Result<StaState, StaError> {
-    analyze_full_with_wire_caps(netlist, binding, options, &HashMap::new())
-}
-
-/// [`analyze_full`] with explicit per-net wire capacitances (pF).
-///
-/// # Errors
-///
-/// See [`analyze`].
-pub fn analyze_full_with_wire_caps(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
+    inputs: &AnalysisInputs<'_>,
 ) -> Result<StaState, StaError> {
     validate(netlist, binding, options)?;
-    let topo = Arc::new(Topology::build(netlist, binding)?);
-    let scratch = ScratchArena::new();
-    analyze_soa(netlist, binding, options, wire_caps_pf, &topo, &scratch)
-}
+    let topo = match inputs.topology {
+        Some(shared) => {
+            shared.0.verify(netlist, binding)?;
+            Arc::clone(&shared.0)
+        }
+        None => Arc::new(Topology::build(netlist, binding)?),
+    };
+    let own_scratch;
+    let scratch = match inputs.scratch {
+        Some(scratch) => scratch,
+        None => {
+            own_scratch = ScratchArena::new();
+            &own_scratch
+        }
+    };
 
-/// [`analyze_full`] against a pre-built [`SharedTopology`] and a
-/// caller-provided [`ScratchArena`] — the hot-path entry point. The
-/// topology is verified (O(connections), no allocation) rather than
-/// rebuilt, and the pass's temporaries are carved from `scratch` instead
-/// of the heap, so repeated warm analyses of the same design (the six
-/// sign-off corners, ECO re-timing) allocate only their result vectors.
-///
-/// # Errors
-///
-/// As [`analyze`], plus [`StaError::InvalidBinding`] when
-/// `netlist`/`binding` no longer match `topo`.
-pub fn analyze_full_in(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    topo: &SharedTopology,
-    scratch: &ScratchArena,
-) -> Result<StaState, StaError> {
-    validate(netlist, binding, options)?;
-    topo.0.verify(netlist, binding)?;
-    analyze_soa(netlist, binding, options, &HashMap::new(), &topo.0, scratch)
-}
-
-/// The shared SoA analysis core: levelized forward propagation over flat
-/// id-indexed lanes, then the backward required-time pass. Temporaries
-/// (readiness counts, the pending stack, resolve flags) live in
-/// `scratch`; only the result vectors are heap-allocated.
-#[allow(clippy::too_many_lines)]
-fn analyze_soa(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
-    topo: &Arc<Topology>,
-    scratch: &ScratchArena,
-) -> Result<StaState, StaError> {
     let _span = svt_obs::span("sta.analyze");
     // Marks the start of one STA wave on the Chrome timeline, so the
     // per-corner analyses inside a parallel batch are tellable apart.
     svt_obs::instant("sta.wave");
+    let wire_caps = intern_wire_caps(inputs.wire_caps_pf, &topo)?;
     let n = netlist.instances().len();
     let net_count = topo.net_names.len();
-    let (loads, extra_loads) = compute_loads(netlist, binding, options, wire_caps_pf, topo)?;
+    let loads = compute_loads(netlist, binding, options, &wire_caps, &topo);
 
     // Net timing state: one lane per quantity, indexed by net id.
     let mut arrival = vec![0.0_f64; net_count];
@@ -222,7 +179,7 @@ fn analyze_soa(
             netlist,
             binding,
             idx,
-            topo,
+            &topo,
             &loads,
             &arrival,
             &slew,
@@ -292,24 +249,23 @@ fn analyze_soa(
         }
     }
 
-    let report = TimingReport::from_soa(
-        Arc::clone(topo),
-        options.mode,
-        arrival,
-        slew,
-        from,
-        required,
-        has_required,
-    );
-    Ok(StaState::new(
-        report,
+    Ok(StaState {
+        report: TimingReport::from_soa(
+            topo,
+            options.mode,
+            arrival,
+            slew,
+            from,
+            required,
+            has_required,
+        ),
+        options: *options,
+        wire_caps,
         loads,
-        extra_loads,
         arc_offsets,
         arc_data,
         completion_order,
-        Arc::clone(topo),
-    ))
+    })
 }
 
 /// Boundary-condition and binding-shape checks shared by the full and
@@ -335,24 +291,44 @@ pub(crate) fn validate(
     Ok(())
 }
 
+/// Checks caller wire caps and interns them by net id, sorted. Caps on
+/// nets outside the netlist are dropped: nothing in the design can
+/// observe them.
+fn intern_wire_caps(
+    wire_caps_pf: Option<&HashMap<String, f64>>,
+    topo: &Topology,
+) -> Result<Vec<(u32, f64)>, StaError> {
+    let mut interned = Vec::new();
+    for (net, &cap) in wire_caps_pf.into_iter().flatten() {
+        if cap < 0.0 {
+            return Err(StaError::InvalidOptions {
+                reason: format!("negative wire cap on net `{net}`"),
+            });
+        }
+        if let Some(&id) = topo.net_ids.get(net) {
+            interned.push((id, cap));
+        }
+    }
+    interned.sort_unstable_by_key(|&(id, _)| id);
+    Ok(interned)
+}
+
 /// Net loads (indexed by topology net id): sink pin caps + wire cap per
 /// fanout + PO load + explicit wire caps, accumulated in instance
-/// order. Wire caps on nets outside the netlist come back separately
-/// (sorted by name) — nothing in the design can observe them.
+/// order.
 ///
 /// The incremental analysis recomputes this vector from scratch on
 /// every update and bit-diffs it against the previous one: summation
 /// order is the only order-sensitive floating-point arithmetic in the
 /// timer, so sharing this exact accumulation sequence is what makes
 /// incremental results bit-identical to a full rebuild.
-#[allow(clippy::type_complexity)]
 pub(crate) fn compute_loads(
     netlist: &MappedNetlist,
     binding: &CellBinding,
     options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
+    wire_caps: &[(u32, f64)],
     topo: &Topology,
-) -> Result<(Vec<f64>, Vec<(String, f64)>), StaError> {
+) -> Vec<f64> {
     let mut loads = vec![0.0_f64; topo.net_names.len()];
     for (idx, inst) in netlist.instances().iter().enumerate() {
         let cell = binding.cell(idx);
@@ -368,20 +344,10 @@ pub(crate) fn compute_loads(
     for &po in &topo.po_ids {
         loads[po as usize] += options.output_load_pf;
     }
-    let mut extra: Vec<(String, f64)> = Vec::new();
-    for (net, cap) in wire_caps_pf {
-        if *cap < 0.0 {
-            return Err(StaError::InvalidOptions {
-                reason: format!("negative wire cap on net `{net}`"),
-            });
-        }
-        match topo.net_ids.get(net) {
-            Some(&id) => loads[id as usize] += cap,
-            None => extra.push((net.clone(), *cap)),
-        }
+    for &(id, cap) in wire_caps {
+        loads[id as usize] += cap;
     }
-    extra.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok((loads, extra))
+    loads
 }
 
 /// The number of connected input pins of one bound instance — exactly
@@ -505,20 +471,6 @@ pub(crate) fn evaluate_instance(
     Ok(out)
 }
 
-/// Convenience: nominal-corner analysis straight from a library.
-///
-/// # Errors
-///
-/// See [`CellBinding::nominal`] and [`analyze`].
-pub fn analyze_nominal(
-    netlist: &MappedNetlist,
-    library: &Library,
-    options: &TimingOptions,
-) -> Result<TimingReport, StaError> {
-    let binding = CellBinding::nominal(netlist, library)?;
-    analyze(netlist, &binding, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,12 +483,21 @@ mod tests {
         (technology_map(&n, &lib).unwrap(), lib)
     }
 
+    /// A plain full analysis, report only.
+    fn sta(
+        m: &MappedNetlist,
+        b: &CellBinding,
+        opts: &TimingOptions,
+    ) -> Result<TimingReport, StaError> {
+        analyze(m, b, opts, &AnalysisInputs::default()).map(StaState::into_report)
+    }
+
     #[test]
     fn single_gate_delay_matches_table() {
         let (m, lib) = mapped("# t\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n");
         let binding = CellBinding::nominal(&m, &lib).unwrap();
         let opts = TimingOptions::default();
-        let report = analyze(&m, &binding, &opts).unwrap();
+        let report = sta(&m, &binding, &opts).unwrap();
         let expected = binding.cell(0).arcs[0]
             .delay
             .lookup(opts.primary_input_slew_ns, opts.output_load_pf);
@@ -547,11 +508,11 @@ mod tests {
     fn chain_accumulates_delay() {
         let (m, lib) = mapped("# chain\nINPUT(a)\nOUTPUT(z)\nx = NOT(a)\ny = NOT(x)\nz = NOT(y)\n");
         let binding = CellBinding::nominal(&m, &lib).unwrap();
-        let report = analyze(&m, &binding, &TimingOptions::default()).unwrap();
+        let report = sta(&m, &binding, &TimingOptions::default()).unwrap();
         let one = {
             let (m1, lib) = mapped("# one\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n");
             let b1 = CellBinding::nominal(&m1, &lib).unwrap();
-            analyze(&m1, &b1, &TimingOptions::default())
+            sta(&m1, &b1, &TimingOptions::default())
                 .unwrap()
                 .circuit_delay_ns()
         };
@@ -564,11 +525,11 @@ mod tests {
         let (m, lib) =
             mapped("# skew\nINPUT(a)\nOUTPUT(z)\nx = NOT(a)\ny = NOT(x)\nz = NAND(a, y)\n");
         let binding = CellBinding::nominal(&m, &lib).unwrap();
-        let report = analyze(&m, &binding, &TimingOptions::default()).unwrap();
+        let report = sta(&m, &binding, &TimingOptions::default()).unwrap();
         // Critical path must come through y (pin B of the NAND).
         let path = report.critical_path();
         assert!(path.len() >= 3, "path {path:?}");
-        let early = analyze(
+        let early = sta(
             &m,
             &binding,
             &TimingOptions {
@@ -588,7 +549,7 @@ mod tests {
         );
         let d = |pair: &(MappedNetlist, Library)| {
             let b = CellBinding::nominal(&pair.0, &pair.1).unwrap();
-            let r = analyze(&pair.0, &b, &TimingOptions::default()).unwrap();
+            let r = sta(&pair.0, &b, &TimingOptions::default()).unwrap();
             r.arrival_of("z").unwrap()
         };
         assert!(d(&heavy) > d(&light), "fanout must add load");
@@ -606,9 +567,14 @@ mod tests {
         let binding = CellBinding::nominal(&m, &lib).unwrap();
         let topo = SharedTopology::build(&m, &binding).unwrap();
         let mut scratch = ScratchArena::new();
-        let fresh = analyze_full(&m, &binding, &opts).unwrap();
+        let fresh = analyze(&m, &binding, &opts, &AnalysisInputs::default()).unwrap();
         for _ in 0..3 {
-            let warm = analyze_full_in(&m, &binding, &opts, &topo, &scratch).unwrap();
+            let inputs = AnalysisInputs {
+                topology: Some(&topo),
+                scratch: Some(&scratch),
+                ..AnalysisInputs::default()
+            };
+            let warm = analyze(&m, &binding, &opts, &inputs).unwrap();
             assert_eq!(warm, fresh, "warm arena/topology reuse must not drift");
             scratch.reset();
         }
@@ -621,15 +587,11 @@ mod tests {
         let topo = SharedTopology::build(&m, &binding).unwrap();
         let (other, _) = mapped("# u\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n");
         let other_binding = CellBinding::nominal(&other, &lib).unwrap();
-        let scratch = ScratchArena::new();
-        assert!(analyze_full_in(
-            &other,
-            &other_binding,
-            &TimingOptions::default(),
-            &topo,
-            &scratch
-        )
-        .is_err());
+        let inputs = AnalysisInputs {
+            topology: Some(&topo),
+            ..AnalysisInputs::default()
+        };
+        assert!(analyze(&other, &other_binding, &TimingOptions::default(), &inputs).is_err());
     }
 
     #[test]
@@ -640,7 +602,7 @@ mod tests {
         let opts = TimingOptions::default();
         let delay_at = |l: f64| {
             let b = CellBinding::uniform_scaled(&m, &lib, l).unwrap();
-            analyze(&m, &b, &opts).unwrap().circuit_delay_ns()
+            sta(&m, &b, &opts).unwrap().circuit_delay_ns()
         };
         let bc = delay_at(81.0);
         let nom = delay_at(90.0);
@@ -664,7 +626,7 @@ mod tests {
             primary_input_slew_ns: 0.0,
             ..TimingOptions::default()
         };
-        assert!(analyze(&m, &b, &bad).is_err());
+        assert!(sta(&m, &b, &bad).is_err());
     }
 
     #[test]
@@ -672,7 +634,8 @@ mod tests {
         let lib = Library::svt90();
         let n = generate_benchmark(&BenchmarkProfile::iscas85("c880").unwrap());
         let m = technology_map(&n, &lib).unwrap();
-        let report = analyze_nominal(&m, &lib, &TimingOptions::default()).unwrap();
+        let b = CellBinding::nominal(&m, &lib).unwrap();
+        let report = sta(&m, &b, &TimingOptions::default()).unwrap();
         assert!(
             report.circuit_delay_ns() > 0.1,
             "c880 should be nontrivially deep"
@@ -700,6 +663,15 @@ mod slack_tests {
         (technology_map(&n, &lib).unwrap(), lib)
     }
 
+    /// A plain full analysis, report only.
+    fn sta(
+        m: &MappedNetlist,
+        b: &CellBinding,
+        opts: &TimingOptions,
+    ) -> Result<TimingReport, StaError> {
+        analyze(m, b, opts, &AnalysisInputs::default()).map(StaState::into_report)
+    }
+
     fn with_clock(period: f64) -> TimingOptions {
         TimingOptions {
             clock_period_ns: Some(period),
@@ -711,7 +683,7 @@ mod slack_tests {
     fn po_slack_matches_period_minus_arrival() {
         let (m, lib) = mapped("# t\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n");
         let b = CellBinding::nominal(&m, &lib).unwrap();
-        let r = analyze(&m, &b, &with_clock(1.0)).unwrap();
+        let r = sta(&m, &b, &with_clock(1.0)).unwrap();
         let slack = r.slack_of("z").unwrap();
         assert!((slack - (1.0 - r.arrival_of("z").unwrap())).abs() < 1e-12);
         assert!(slack > 0.0);
@@ -721,7 +693,7 @@ mod slack_tests {
     fn required_times_decrease_upstream() {
         let (m, lib) = mapped("# chain\nINPUT(a)\nOUTPUT(z)\nx = NOT(a)\ny = NOT(x)\nz = NOT(y)\n");
         let b = CellBinding::nominal(&m, &lib).unwrap();
-        let r = analyze(&m, &b, &with_clock(2.0)).unwrap();
+        let r = sta(&m, &b, &with_clock(2.0)).unwrap();
         let rq = |net: &str| r.required_of(net).unwrap();
         assert!(rq("a") < rq("x"));
         assert!(rq("x") < rq("y"));
@@ -734,7 +706,7 @@ mod slack_tests {
         let (m, lib) =
             mapped("# skew\nINPUT(a)\nOUTPUT(z)\nx = NOT(a)\ny = NOT(x)\nz = NAND(a, y)\n");
         let b = CellBinding::nominal(&m, &lib).unwrap();
-        let r = analyze(&m, &b, &with_clock(1.0)).unwrap();
+        let r = sta(&m, &b, &with_clock(1.0)).unwrap();
         let path = r.critical_path();
         let slacks: Vec<f64> = path.iter().filter_map(|s| r.slack_of(&s.net)).collect();
         assert!(slacks.len() >= 2);
@@ -753,7 +725,7 @@ mod slack_tests {
     fn infeasible_clock_yields_negative_slack() {
         let (m, lib) = mapped("# chain\nINPUT(a)\nOUTPUT(z)\nx = NOT(a)\ny = NOT(x)\nz = NOT(y)\n");
         let b = CellBinding::nominal(&m, &lib).unwrap();
-        let r = analyze(&m, &b, &with_clock(0.01)).unwrap();
+        let r = sta(&m, &b, &with_clock(0.01)).unwrap();
         assert!(r.worst_net_slack_ns().unwrap() < 0.0);
         assert!(r.total_negative_slack_ns().unwrap() < 0.0);
     }
@@ -762,7 +734,7 @@ mod slack_tests {
     fn no_clock_means_no_slacks() {
         let (m, lib) = mapped("# t\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n");
         let b = CellBinding::nominal(&m, &lib).unwrap();
-        let r = analyze(&m, &b, &TimingOptions::default()).unwrap();
+        let r = sta(&m, &b, &TimingOptions::default()).unwrap();
         assert_eq!(r.slack_of("z"), None);
         assert_eq!(r.worst_net_slack_ns(), None);
         assert_eq!(r.total_negative_slack_ns(), None);

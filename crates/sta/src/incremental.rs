@@ -1,9 +1,10 @@
 //! Cone-limited incremental timing analysis.
 //!
-//! [`analyze_full`](crate::analyze_full) returns a [`StaState`] — the
-//! timing report plus the internal products a re-analysis needs (the
-//! interned netlist topology, net loads, per-arc delays, completion
-//! order). [`analyze_incremental`] advances that state after a small
+//! [`analyze`](crate::analyze) returns a [`StaState`] — the timing
+//! report plus the internal products a re-analysis needs (the interned
+//! netlist topology, net loads, per-arc delays, completion order) and
+//! the options and wire caps it was computed with.
+//! [`analyze_incremental`] advances that state after a small
 //! netlist/binding edit by recomputing only the affected cones:
 //!
 //! * **forward (fan-out) cone** — arrival times and slews of every net
@@ -35,11 +36,11 @@
 //! beyond an O(connections) equality sweep that verifies connectivity is
 //! unchanged. Per-update temporaries (seed flags, cone marks, the DFS
 //! stack) are carved from a caller-supplied
-//! [`ScratchArena`](svt_exec::ScratchArena) — warm updates through
-//! [`analyze_incremental_in`] touch the heap only for the cloned result
-//! vectors. That keeps the per-update fixed cost small enough for the
-//! `svt-eco` latency target (a single-cell ECO must re-sign-off ≥ 10×
-//! faster than a warm full rebuild).
+//! [`ScratchArena`](svt_exec::ScratchArena) — warm updates through a
+//! reused arena touch the heap only for the cloned result vectors. That
+//! keeps the per-update fixed cost small enough for the `svt-eco`
+//! latency target (a single-cell ECO must re-sign-off ≥ 10× faster than
+//! a warm full rebuild).
 //!
 //! The equivalence is enforced by the `svt-eco` differential test, which
 //! compares incremental sessions against full rebuilds bit-for-bit
@@ -268,8 +269,10 @@ impl Topology {
 /// the only string-heavy step of an analysis. Callers that analyze the
 /// same design repeatedly — the sign-off flow runs six corners per
 /// `run()`, ECO sessions re-analyze after every edit — build it once and
-/// pass it to [`analyze_full_in`](crate::analyze_full_in), which only
-/// performs the O(connections) [`verify`](SharedTopology::verify) sweep.
+/// pass it to [`analyze`](crate::analyze) through
+/// [`AnalysisInputs::topology`](crate::AnalysisInputs::topology), which
+/// only performs the O(connections) [`verify`](SharedTopology::verify)
+/// sweep.
 /// Cloning is an [`Arc`] bump.
 #[derive(Debug, Clone)]
 pub struct SharedTopology(pub(crate) Arc<Topology>);
@@ -302,18 +305,27 @@ impl SharedTopology {
 }
 
 /// A completed analysis plus the internal products needed to advance it
-/// incrementally: the interned net topology, the canonical per-net load
-/// vector, the per-instance arc delays of the backward pass (flat CSR
-/// layout), and the topological completion order.
+/// incrementally: the interned net topology (shared with the report),
+/// the canonical per-net load vector, the per-instance arc delays of the
+/// backward pass (flat CSR layout), and the topological completion order.
+///
+/// The state also carries the [`TimingOptions`] and the wire caps it was
+/// computed with, and [`analyze_incremental`] reuses them. An update
+/// computed under other inputs than its prior state would mix two
+/// analyses — e.g. dropping the wire caps re-seeds only the drivers of
+/// capped nets and silently differs from a full re-analysis — so the
+/// incremental entry point takes neither. Only caps on nets of the
+/// netlist are kept (interned by id); a state built without wire caps
+/// holds none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaState {
     pub(crate) report: TimingReport,
+    /// The options the analysis ran with.
+    pub(crate) options: TimingOptions,
+    /// Explicit wire caps (pF) by net id, sorted by id.
+    pub(crate) wire_caps: Vec<(u32, f64)>,
     /// Net loads (pF) indexed by topology net id.
     pub(crate) loads: Vec<f64>,
-    /// Loads on wire-cap nets that are not in the netlist (sorted by
-    /// name). No driver can depend on them; kept only so state equality
-    /// sees the full load picture.
-    pub(crate) extra_loads: Vec<(String, f64)>,
     /// CSR offsets into [`Self::arc_data`]: instance `i`'s evaluated
     /// arcs live at `arc_data[arc_offsets[i]..arc_offsets[i + 1]]`.
     /// Length `instances + 1`.
@@ -321,30 +333,9 @@ pub struct StaState {
     /// `(input net id, arc delay)` of every evaluated arc, flat.
     pub(crate) arc_data: Vec<(u32, f64)>,
     pub(crate) completion_order: Vec<usize>,
-    pub(crate) topo: Arc<Topology>,
 }
 
 impl StaState {
-    pub(crate) fn new(
-        report: TimingReport,
-        loads: Vec<f64>,
-        extra_loads: Vec<(String, f64)>,
-        arc_offsets: Vec<u32>,
-        arc_data: Vec<(u32, f64)>,
-        completion_order: Vec<usize>,
-        topo: Arc<Topology>,
-    ) -> StaState {
-        StaState {
-            report,
-            loads,
-            extra_loads,
-            arc_offsets,
-            arc_data,
-            completion_order,
-            topo,
-        }
-    }
-
     /// The timing report of the analysis this state captures.
     #[must_use]
     pub fn report(&self) -> &TimingReport {
@@ -382,6 +373,12 @@ pub struct IncrementalStats {
 /// re-loaded) the given instances, recomputing only the forward fan-out
 /// cone of arrivals and the backward fan-in cone of required times.
 ///
+/// The update runs under the options and wire caps `prev` was computed
+/// with, so the result equals a full [`analyze`](crate::analyze) of the
+/// edited design with those same inputs. Per-update temporaries are
+/// carved from `scratch`; reusing one arena across updates (an ECO
+/// session walking many edits) avoids reallocating them.
+///
 /// `changed_instances` lists every instance whose bound variant changed
 /// (duplicates are fine). Instances whose *loads* changed — e.g. the
 /// driver of a net whose sink pin capacitances moved with a cell swap —
@@ -397,91 +394,20 @@ pub struct IncrementalStats {
 ///
 /// # Errors
 ///
-/// * [`StaError::InvalidOptions`] / [`StaError::InvalidBinding`] as in
-///   [`analyze`](crate::analyze), plus binding-shape mismatches against
-///   `prev`,
+/// * [`StaError::InvalidBinding`] as in [`analyze`](crate::analyze),
+///   plus binding-shape mismatches against `prev`,
 /// * [`StaError::MissingTiming`] when a re-bound variant lacks an arc
 ///   for a connected input pin.
+#[allow(clippy::too_many_lines)]
 pub fn analyze_incremental(
     netlist: &MappedNetlist,
     binding: &CellBinding,
-    options: &TimingOptions,
-    prev: &StaState,
-    changed_instances: &[usize],
-) -> Result<(StaState, IncrementalStats), StaError> {
-    analyze_incremental_with_wire_caps(
-        netlist,
-        binding,
-        options,
-        &HashMap::new(),
-        prev,
-        changed_instances,
-    )
-}
-
-/// [`analyze_incremental`] with caller-provided scratch, so repeated
-/// updates (an ECO session walking many edits) reuse one arena for the
-/// per-update temporaries instead of reallocating them.
-///
-/// # Errors
-///
-/// See [`analyze_incremental`].
-pub fn analyze_incremental_in(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    prev: &StaState,
-    changed_instances: &[usize],
-    scratch: &ScratchArena,
-) -> Result<(StaState, IncrementalStats), StaError> {
-    incremental_soa(
-        netlist,
-        binding,
-        options,
-        &HashMap::new(),
-        prev,
-        changed_instances,
-        scratch,
-    )
-}
-
-/// [`analyze_incremental`] with explicit per-net wire capacitances (pF),
-/// mirroring [`analyze_with_wire_caps`](crate::analyze_with_wire_caps).
-///
-/// # Errors
-///
-/// See [`analyze_incremental`].
-pub fn analyze_incremental_with_wire_caps(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
-    prev: &StaState,
-    changed_instances: &[usize],
-) -> Result<(StaState, IncrementalStats), StaError> {
-    let scratch = ScratchArena::new();
-    incremental_soa(
-        netlist,
-        binding,
-        options,
-        wire_caps_pf,
-        prev,
-        changed_instances,
-        &scratch,
-    )
-}
-
-#[allow(clippy::too_many_lines)]
-fn incremental_soa(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
     prev: &StaState,
     changed_instances: &[usize],
     scratch: &ScratchArena,
 ) -> Result<(StaState, IncrementalStats), StaError> {
     let _span = svt_obs::span("sta.analyze_incremental");
+    let options = &prev.options;
     validate(netlist, binding, options)?;
     let n = netlist.instances().len();
     if prev.completion_order.len() != n || prev.arc_offsets.len() != n + 1 {
@@ -489,13 +415,13 @@ fn incremental_soa(
             reason: "incremental state does not match the netlist".into(),
         });
     }
-    let topo = &prev.topo;
+    let topo = &prev.report.topo;
     topo.verify(netlist, binding)?;
     let net_count = topo.net_names.len();
 
     // Canonical load recompute + bit-diff: a net whose load bits moved
     // re-times its *driver* (delay/slew lookups read the output load).
-    let (loads, extra_loads) = compute_loads(netlist, binding, options, wire_caps_pf, topo)?;
+    let loads = compute_loads(netlist, binding, options, &prev.wire_caps, topo);
     // `dirty` doubles as the seed-dedup set: before the DFS below it
     // holds exactly the seeds.
     let dirty: &mut [bool] = scratch.alloc_slice_fill(n, false);
@@ -526,8 +452,6 @@ fn incremental_soa(
             }
         }
     }
-    // `extra_loads` nets are outside the netlist — nothing drives them,
-    // so a change there cannot seed anything.
 
     // Forward (fan-out) cone: everything reachable from a seed.
     // Mark-on-push bounds the stack by the instance count.
@@ -622,12 +546,6 @@ fn incremental_soa(
     let mut has_required = prev.report.has_required.clone();
     let mut backward_nets = 0usize;
     if let Some(period) = options.clock_period_ns {
-        if required.len() != net_count {
-            // `prev` was analyzed without a clock; start from the empty
-            // boundary condition.
-            required = vec![0.0; net_count];
-            has_required = vec![false; net_count];
-        }
         let in_cone: &mut [bool] = scratch.alloc_slice_fill(net_count, false);
         for &idx in prev.completion_order.iter().rev() {
             if dirty[idx] || in_cone[topo.out_net[idx] as usize] {
@@ -687,25 +605,24 @@ fn incremental_soa(
     svt_obs::counter!("sta.incremental.forward_instances").add(forward_instances as u64);
     svt_obs::counter!("sta.incremental.backward_nets").add(backward_nets as u64);
 
-    let report = TimingReport::from_soa(
-        Arc::clone(topo),
-        options.mode,
-        arrival,
-        slew,
-        from,
-        required,
-        has_required,
-    );
     Ok((
-        StaState::new(
-            report,
+        StaState {
+            report: TimingReport::from_soa(
+                Arc::clone(topo),
+                options.mode,
+                arrival,
+                slew,
+                from,
+                required,
+                has_required,
+            ),
+            options: *options,
+            wire_caps: prev.wire_caps.clone(),
             loads,
-            extra_loads,
             arc_offsets,
             arc_data,
-            prev.completion_order.clone(),
-            Arc::clone(topo),
-        ),
+            completion_order: prev.completion_order.clone(),
+        },
         IncrementalStats {
             seed_instances: seed_count,
             forward_instances,
@@ -716,7 +633,7 @@ fn incremental_soa(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_full, AnalysisMode};
+    use crate::{analyze, AnalysisInputs, AnalysisMode};
     use svt_netlist::{bench, generate_benchmark, technology_map, BenchmarkProfile};
     use svt_stdcell::Library;
 
@@ -726,13 +643,20 @@ mod tests {
         (technology_map(&n, &lib).unwrap(), lib)
     }
 
+    fn full_analysis(m: &MappedNetlist, b: &CellBinding, opts: &TimingOptions) -> StaState {
+        analyze(m, b, opts, &AnalysisInputs::default()).unwrap()
+    }
+
     fn assert_states_bit_identical(a: &StaState, b: &StaState) {
-        assert_eq!(a.topo.net_names, b.topo.net_names, "interning order");
-        let nn = a.topo.net_names.len();
+        assert_eq!(
+            a.report.topo.net_names, b.report.topo.net_names,
+            "interning order"
+        );
+        let nn = a.report.topo.net_names.len();
         assert_eq!(a.report.arrival.len(), nn);
         assert_eq!(b.report.arrival.len(), nn);
         for id in 0..nn {
-            let net = &a.topo.net_names[id];
+            let net = &a.report.topo.net_names[id];
             assert_eq!(
                 a.report.arrival[id].to_bits(),
                 b.report.arrival[id].to_bits(),
@@ -756,7 +680,7 @@ mod tests {
                     a.report.required[id].to_bits(),
                     b.report.required[id].to_bits(),
                     "required of `{}`",
-                    a.topo.net_names[id]
+                    a.report.topo.net_names[id]
                 );
             }
         }
@@ -766,10 +690,11 @@ mod tests {
                 l.to_bits(),
                 b.loads[id].to_bits(),
                 "load of `{}`",
-                a.topo.net_names[id]
+                a.report.topo.net_names[id]
             );
         }
-        assert_eq!(a.extra_loads, b.extra_loads);
+        assert_eq!(a.options, b.options);
+        assert_eq!(a.wire_caps, b.wire_caps);
         assert_eq!(a.arc_offsets, b.arc_offsets);
         assert_eq!(a.arc_data.len(), b.arc_data.len());
         for ((nx, dx), (ny, dy)) in a.arc_data.iter().zip(&b.arc_data) {
@@ -786,7 +711,7 @@ mod tests {
             ..TimingOptions::default()
         };
         let mut binding = CellBinding::uniform_scaled(&m, &lib, 90.0).unwrap();
-        let base = analyze_full(&m, &binding, &opts).unwrap();
+        let base = full_analysis(&m, &binding, &opts);
 
         // Slow down one mid-design instance to the worst corner.
         let idx = m.instances().len() / 2;
@@ -794,8 +719,9 @@ mod tests {
         let slow = CellBinding::uniform_scaled_cell(&lib, &cell_name, 99.0).unwrap();
         binding.replace(&m, idx, slow).unwrap();
 
-        let (incr, stats) = analyze_incremental(&m, &binding, &opts, &base, &[idx]).unwrap();
-        let full = analyze_full(&m, &binding, &opts).unwrap();
+        let (incr, stats) =
+            analyze_incremental(&m, &binding, &base, &[idx], &ScratchArena::new()).unwrap();
+        let full = full_analysis(&m, &binding, &opts);
         assert_states_bit_identical(&incr, &full);
         assert!(stats.seed_instances >= 1);
         assert!(
@@ -823,7 +749,7 @@ mod tests {
             ..TimingOptions::default()
         };
         let mut binding = CellBinding::nominal(&m, &lib).unwrap();
-        let base = analyze_full(&m, &binding, &opts).unwrap();
+        let base = full_analysis(&m, &binding, &opts);
 
         let nand_idx = m
             .instances()
@@ -840,8 +766,9 @@ mod tests {
         }
         binding.replace(&m, nand_idx, slow).unwrap();
 
-        let (incr, stats) = analyze_incremental(&m, &binding, &opts, &base, &[nand_idx]).unwrap();
-        let full = analyze_full(&m, &binding, &opts).unwrap();
+        let (incr, stats) =
+            analyze_incremental(&m, &binding, &base, &[nand_idx], &ScratchArena::new()).unwrap();
+        let full = full_analysis(&m, &binding, &opts);
         assert_states_bit_identical(&incr, &full);
         assert!(
             stats.seed_instances >= 2,
@@ -854,8 +781,9 @@ mod tests {
         let (m, lib) = c432();
         let opts = TimingOptions::default();
         let binding = CellBinding::nominal(&m, &lib).unwrap();
-        let base = analyze_full(&m, &binding, &opts).unwrap();
-        let (incr, stats) = analyze_incremental(&m, &binding, &opts, &base, &[]).unwrap();
+        let base = full_analysis(&m, &binding, &opts);
+        let (incr, stats) =
+            analyze_incremental(&m, &binding, &base, &[], &ScratchArena::new()).unwrap();
         assert_states_bit_identical(&incr, &base);
         assert_eq!(stats.forward_instances, 0);
     }
@@ -870,15 +798,14 @@ mod tests {
             ..TimingOptions::default()
         };
         let mut binding = CellBinding::uniform_scaled(&m, &lib, 90.0).unwrap();
-        let base = analyze_full(&m, &binding, &opts).unwrap();
+        let base = full_analysis(&m, &binding, &opts);
         let mut scratch = ScratchArena::new();
         for idx in [3usize, 17, 101] {
             let cell_name = m.instances()[idx].cell.clone();
             let slow = CellBinding::uniform_scaled_cell(&lib, &cell_name, 99.0).unwrap();
             binding.replace(&m, idx, slow).unwrap();
-            let (incr, _) =
-                analyze_incremental_in(&m, &binding, &opts, &base, &[idx], &scratch).unwrap();
-            let plain = analyze_incremental(&m, &binding, &opts, &base, &[idx])
+            let (incr, _) = analyze_incremental(&m, &binding, &base, &[idx], &scratch).unwrap();
+            let plain = analyze_incremental(&m, &binding, &base, &[idx], &ScratchArena::new())
                 .unwrap()
                 .0;
             assert_states_bit_identical(&incr, &plain);
@@ -898,13 +825,14 @@ mod tests {
             ..TimingOptions::default()
         };
         let mut binding = CellBinding::nominal(&m, &lib).unwrap();
-        let base = analyze_full(&m, &binding, &opts).unwrap();
+        let base = full_analysis(&m, &binding, &opts);
         let idx = 7;
         let fast =
             CellBinding::uniform_scaled_cell(&lib, &m.instances()[idx].cell.clone(), 81.0).unwrap();
         binding.replace(&m, idx, fast).unwrap();
-        let (incr, _) = analyze_incremental(&m, &binding, &opts, &base, &[idx]).unwrap();
-        let full = analyze_full(&m, &binding, &opts).unwrap();
+        let (incr, _) =
+            analyze_incremental(&m, &binding, &base, &[idx], &ScratchArena::new()).unwrap();
+        let full = full_analysis(&m, &binding, &opts);
         assert_states_bit_identical(&incr, &full);
     }
 
@@ -913,15 +841,19 @@ mod tests {
         let (m, lib) = c432();
         let opts = TimingOptions::default();
         let binding = CellBinding::nominal(&m, &lib).unwrap();
-        let base = analyze_full(&m, &binding, &opts).unwrap();
+        let base = full_analysis(&m, &binding, &opts);
         // A different netlist cannot reuse this state.
         let other = {
             let n = bench::parse("# t\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n").unwrap();
             technology_map(&n, &lib).unwrap()
         };
         let other_binding = CellBinding::nominal(&other, &lib).unwrap();
-        assert!(analyze_incremental(&other, &other_binding, &opts, &base, &[]).is_err());
+        assert!(
+            analyze_incremental(&other, &other_binding, &base, &[], &ScratchArena::new()).is_err()
+        );
         // Out-of-range seed.
-        assert!(analyze_incremental(&m, &binding, &opts, &base, &[usize::MAX]).is_err());
+        assert!(
+            analyze_incremental(&m, &binding, &base, &[usize::MAX], &ScratchArena::new()).is_err()
+        );
     }
 }

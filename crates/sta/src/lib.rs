@@ -7,30 +7,34 @@
 //!   every instance of a mapped netlist. Corner analysis and the
 //!   in-context flow differ *only* in which variants they bind.
 //! * [`analyze`] — levelized propagation of arrival times and slews with
-//!   NLDM lookup (bilinear + edge extrapolation), lumped capacitive loads,
-//!   worst-slew merging, and late (max) or early (min) mode.
+//!   NLDM lookup (bilinear + edge extrapolation), lumped capacitive loads
+//!   (optionally placement-extracted wire caps), worst-slew merging, and
+//!   late (max) or early (min) mode. It returns a [`StaState`]; warm
+//!   callers pass a prebuilt [`SharedTopology`] and a scratch arena
+//!   through [`AnalysisInputs`].
 //! * [`TimingReport`] — per-net arrivals, circuit delay, critical path
 //!   extraction, and required-time/slack computation against a clock
 //!   period.
-//! * [`analyze_full`] / [`analyze_incremental`] — the incremental (ECO)
-//!   path: a full analysis returns an [`StaState`] that later edits
-//!   advance by recomputing only the forward fan-out cone of arrivals
-//!   and the backward fan-in cone of required times, bit-identically to
-//!   a from-scratch analysis.
+//! * [`analyze_incremental`] — the incremental (ECO) path: advances an
+//!   [`StaState`] after an edit by recomputing only the forward fan-out
+//!   cone of arrivals and the backward fan-in cone of required times,
+//!   under the options and wire caps the state carries, bit-identically
+//!   to a from-scratch analysis.
 //!
 //! # Examples
 //!
 //! ```
 //! use svt_netlist::{bench, technology_map};
-//! use svt_sta::{analyze, CellBinding, TimingOptions};
+//! use svt_sta::{analyze, AnalysisInputs, CellBinding, TimingOptions};
 //! use svt_stdcell::Library;
 //!
 //! let lib = Library::svt90();
 //! let n = bench::parse("# t\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n")?;
 //! let mapped = technology_map(&n, &lib)?;
 //! let binding = CellBinding::nominal(&mapped, &lib)?;
-//! let report = analyze(&mapped, &binding, &TimingOptions::default())?;
-//! assert!(report.circuit_delay_ns() > 0.0);
+//! let opts = TimingOptions::default();
+//! let state = analyze(&mapped, &binding, &opts, &AnalysisInputs::default())?;
+//! assert!(state.report().circuit_delay_ns() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -40,14 +44,8 @@ mod error;
 mod incremental;
 mod report;
 
-pub use analysis::{
-    analyze, analyze_full, analyze_full_in, analyze_full_with_wire_caps, analyze_nominal,
-    analyze_with_wire_caps, AnalysisMode, TimingOptions,
-};
+pub use analysis::{analyze, AnalysisInputs, AnalysisMode, TimingOptions};
 pub use binding::CellBinding;
 pub use error::StaError;
-pub use incremental::{
-    analyze_incremental, analyze_incremental_in, analyze_incremental_with_wire_caps,
-    IncrementalStats, SharedTopology, StaState,
-};
+pub use incremental::{analyze_incremental, IncrementalStats, SharedTopology, StaState};
 pub use report::{format_path_report, PathStep, TimingReport};

@@ -57,14 +57,15 @@ pub struct PathStep {
 ///
 /// ```
 /// use svt_netlist::{bench, technology_map};
-/// use svt_sta::{analyze, CellBinding, TimingOptions};
+/// use svt_sta::{analyze, AnalysisInputs, CellBinding, TimingOptions};
 /// use svt_stdcell::Library;
 ///
 /// let lib = Library::svt90();
 /// let n = bench::parse("# t\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")?;
 /// let mapped = technology_map(&n, &lib)?;
 /// let binding = CellBinding::nominal(&mapped, &lib)?;
-/// let report = analyze(&mapped, &binding, &TimingOptions::default())?;
+/// let opts = TimingOptions::default();
+/// let report = analyze(&mapped, &binding, &opts, &AnalysisInputs::default())?.into_report();
 /// let slack = report.worst_slack_ns(1.0);
 /// assert!(slack > 0.0, "an inverter easily makes a 1 ns clock");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -279,7 +280,7 @@ impl TimingReport {
 ///
 /// ```
 /// use svt_netlist::{bench, technology_map};
-/// use svt_sta::{analyze, format_path_report, CellBinding, TimingOptions};
+/// use svt_sta::{analyze, format_path_report, AnalysisInputs, CellBinding, TimingOptions};
 /// use svt_stdcell::Library;
 ///
 /// let lib = Library::svt90();
@@ -287,8 +288,8 @@ impl TimingReport {
 /// let mapped = technology_map(&n, &lib)?;
 /// let binding = CellBinding::nominal(&mapped, &lib)?;
 /// let opts = TimingOptions { clock_period_ns: Some(1.0), ..TimingOptions::default() };
-/// let report = analyze(&mapped, &binding, &opts)?;
-/// let text = format_path_report(&report, &mapped, &binding);
+/// let state = analyze(&mapped, &binding, &opts, &AnalysisInputs::default())?;
+/// let text = format_path_report(state.report(), &mapped, &binding);
 /// assert!(text.contains("Startpoint"));
 /// assert!(text.contains("slack"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -352,7 +353,7 @@ pub fn format_path_report(
 #[cfg(test)]
 mod report_format_tests {
     use super::*;
-    use crate::{analyze, CellBinding, TimingOptions};
+    use crate::{analyze, AnalysisInputs, CellBinding, TimingOptions};
     use svt_netlist::{bench, technology_map};
     use svt_stdcell::Library;
 
@@ -368,7 +369,9 @@ mod report_format_tests {
             clock_period_ns: Some(1.0),
             ..TimingOptions::default()
         };
-        let report = analyze(&mapped, &binding, &opts).unwrap();
+        let report = analyze(&mapped, &binding, &opts, &AnalysisInputs::default())
+            .unwrap()
+            .into_report();
         let text = format_path_report(&report, &mapped, &binding);
         assert!(text.contains("Startpoint: a"));
         assert!(text.contains("Endpoint:   z"));
@@ -392,7 +395,10 @@ mod report_format_tests {
         let n = bench::parse("# t\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n").unwrap();
         let mapped = technology_map(&n, &lib).unwrap();
         let binding = CellBinding::nominal(&mapped, &lib).unwrap();
-        let report = analyze(&mapped, &binding, &TimingOptions::default()).unwrap();
+        let opts = TimingOptions::default();
+        let report = analyze(&mapped, &binding, &opts, &AnalysisInputs::default())
+            .unwrap()
+            .into_report();
         let text = format_path_report(&report, &mapped, &binding);
         assert!(!text.contains("slack"));
         assert!(text.contains("data arrival time"));

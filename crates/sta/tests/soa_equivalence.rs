@@ -1,31 +1,35 @@
 //! Property tests pinning the arena/SoA timing state to the allocating
 //! reference paths, bit for bit.
 //!
-//! The refactored hot path has three entry points that must agree
-//! exactly with a plain from-scratch [`analyze_full`]:
+//! Two ways of reaching a state must agree exactly with a plain
+//! from-scratch [`analyze`] run with the same options and wire caps:
 //!
-//! * [`analyze_full_in`] — cached [`SharedTopology`] plus a reused
-//!   scratch arena,
+//! * [`analyze`] with a cached [`SharedTopology`] plus a reused scratch
+//!   arena (the sign-off hot path),
 //! * [`analyze_incremental`] — cone-limited update of a prior state,
-//! * [`analyze_incremental_in`] — the same through a reused arena.
+//!   through a fresh and through a reused arena. It takes no options and
+//!   no wire caps: the state carries the ones it was computed with.
 //!
 //! Every property runs on randomized generator netlists (seeded, so
-//! failures replay) and compares whole [`svt_sta::StaState`]s with `==`,
-//! which is bit-exact: the state holds raw `f64` vectors and `PartialEq`
-//! on them is IEEE equality (no NaNs arise from finite NLDM tables).
+//! failures replay) with a random wire-cap map (including caps on nets
+//! outside the netlist) and compares whole [`svt_sta::StaState`]s with
+//! `==`, which is bit-exact: the state holds raw `f64` vectors and
+//! `PartialEq` on them is IEEE equality (no NaNs arise from finite NLDM
+//! tables).
 //!
 //! Thread-count independence: these APIs never touch the worker pool, so
 //! the properties hold under any `SVT_THREADS`; CI's differential matrix
-//! runs this suite under both `SVT_THREADS=1` and the default to pin the
-//! claim end to end.
+//! runs this suite under every `SVT_THREADS` × `SVT_TRACE` cell to pin
+//! the claim end to end.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use svt_exec::ScratchArena;
 use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile, MappedNetlist};
 use svt_sta::{
-    analyze_full, analyze_full_in, analyze_incremental, analyze_incremental_in, CellBinding,
-    SharedTopology, TimingOptions,
+    analyze, analyze_incremental, AnalysisInputs, CellBinding, SharedTopology, TimingOptions,
 };
 use svt_stdcell::Library;
 
@@ -37,8 +41,34 @@ fn profile_strategy() -> impl Strategy<Value = BenchmarkProfile> {
     })
 }
 
+/// Raw wire-cap picks: `(net pick, cap pF)`; resolved against a netlist
+/// by [`wire_caps`].
+fn caps_strategy() -> impl Strategy<Value = Vec<(usize, f64)>> {
+    prop::collection::vec((0usize..1_000_000, 0.0f64..0.004), 0..24)
+}
+
 fn mapped(profile: &BenchmarkProfile, lib: &Library) -> MappedNetlist {
     technology_map(&generate_benchmark(profile), lib).expect("generated netlists map")
+}
+
+/// Resolves wire-cap picks to net names: mostly nets of `netlist`, and
+/// one pick in eight a net the netlist does not have.
+fn wire_caps(netlist: &MappedNetlist, picks: &[(usize, f64)]) -> HashMap<String, f64> {
+    let mut nets: Vec<&str> = netlist.inputs().iter().map(String::as_str).collect();
+    for inst in netlist.instances() {
+        nets.extend(inst.connections.iter().map(|(_, net)| net.as_str()));
+    }
+    picks
+        .iter()
+        .map(|&(pick, cap)| {
+            let net = if pick % 8 == 0 {
+                format!("ghost{pick}")
+            } else {
+                nets[pick % nets.len()].to_string()
+            };
+            (net, cap)
+        })
+        .collect()
 }
 
 /// Timing options with the backward pass on, so required-time state is
@@ -56,37 +86,56 @@ proptest! {
     /// The arena path (shared topology + reused scratch) reproduces the
     /// allocating path bit-for-bit, including across scratch reuse.
     #[test]
-    fn arena_full_analysis_matches_the_allocating_path(profile in profile_strategy()) {
+    fn arena_full_analysis_matches_the_allocating_path(
+        profile in profile_strategy(),
+        cap_picks in caps_strategy(),
+    ) {
         let lib = Library::svt90();
         let netlist = mapped(&profile, &lib);
         let binding = CellBinding::nominal(&netlist, &lib).unwrap();
         let opts = options();
+        let caps = wire_caps(&netlist, &cap_picks);
+        let with_caps = AnalysisInputs {
+            wire_caps_pf: Some(&caps),
+            ..AnalysisInputs::default()
+        };
 
-        let reference = analyze_full(&netlist, &binding, &opts).unwrap();
+        let reference = analyze(&netlist, &binding, &opts, &with_caps).unwrap();
 
         let topo = SharedTopology::build(&netlist, &binding).unwrap();
         let mut scratch = ScratchArena::new();
         for _ in 0..2 {
-            let state = analyze_full_in(&netlist, &binding, &opts, &topo, &scratch).unwrap();
+            let inputs = AnalysisInputs {
+                topology: Some(&topo),
+                scratch: Some(&scratch),
+                ..with_caps
+            };
+            let state = analyze(&netlist, &binding, &opts, &inputs).unwrap();
             prop_assert_eq!(&state, &reference);
             scratch.reset();
         }
     }
 
     /// A chain of incremental rebind edits stays bit-identical to a
-    /// from-scratch analysis after every step, through both the plain and
-    /// the arena-backed incremental entry points.
+    /// from-scratch analysis with the same options and wire caps after
+    /// every step, through both a fresh and a reused arena.
     #[test]
     fn incremental_updates_match_full_reruns(
         profile in profile_strategy(),
         edits in prop::collection::vec((0usize..1_000_000, 88.0f64..97.0), 1..4),
+        cap_picks in caps_strategy(),
     ) {
         let lib = Library::svt90();
         let netlist = mapped(&profile, &lib);
         let mut binding = CellBinding::nominal(&netlist, &lib).unwrap();
         let opts = options();
+        let caps = wire_caps(&netlist, &cap_picks);
+        let with_caps = AnalysisInputs {
+            wire_caps_pf: Some(&caps),
+            ..AnalysisInputs::default()
+        };
 
-        let mut state = analyze_full(&netlist, &binding, &opts).unwrap();
+        let mut state = analyze(&netlist, &binding, &opts, &with_caps).unwrap();
         let mut scratch = ScratchArena::new();
         for (pick, length) in edits {
             let idx = pick % netlist.instances().len();
@@ -99,12 +148,12 @@ proptest! {
             binding.replace(&netlist, idx, cell).unwrap();
 
             let (plain, _) =
-                analyze_incremental(&netlist, &binding, &opts, &state, &[idx]).unwrap();
-            let (arena_state, _) =
-                analyze_incremental_in(&netlist, &binding, &opts, &state, &[idx], &scratch)
+                analyze_incremental(&netlist, &binding, &state, &[idx], &ScratchArena::new())
                     .unwrap();
+            let (arena_state, _) =
+                analyze_incremental(&netlist, &binding, &state, &[idx], &scratch).unwrap();
             scratch.reset();
-            let full = analyze_full(&netlist, &binding, &opts).unwrap();
+            let full = analyze(&netlist, &binding, &opts, &with_caps).unwrap();
 
             prop_assert_eq!(&plain, &full);
             prop_assert_eq!(&arena_state, &full);

@@ -13,7 +13,7 @@ use svt::core::{
 use svt::litho::Process;
 use svt::netlist::{generate_benchmark, technology_map, verilog, BenchmarkProfile};
 use svt::place::{def, place, PlacementOptions};
-use svt::sta::{analyze_with_wire_caps, format_path_report, CellBinding, TimingOptions};
+use svt::sta::{analyze, format_path_report, AnalysisInputs, CellBinding, TimingOptions};
 use svt::stdcell::{expand_library, ExpandOptions, Library};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,8 +49,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clock_period_ns: Some(clock_ns),
         ..TimingOptions::default()
     };
-    let report = analyze_with_wire_caps(&mapped, &binding, &opts, &wire_caps)?;
-    println!("\n{}", format_path_report(&report, &mapped, &binding));
+    let inputs = AnalysisInputs {
+        wire_caps_pf: Some(&wire_caps),
+        ..AnalysisInputs::default()
+    };
+    let state = analyze(&mapped, &binding, &opts, &inputs)?;
+    println!(
+        "\n{}",
+        format_path_report(state.report(), &mapped, &binding)
+    );
 
     // Corner sign-off and statistical yield.
     let expanded = expand_library(&library, &sim, &ExpandOptions::fast())?;
