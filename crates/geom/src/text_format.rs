@@ -124,8 +124,8 @@ pub fn write_layout(layout: &Layout) -> String {
 /// # Errors
 ///
 /// Returns [`GeomError::ParseLayoutError`] with the failing line for any
-/// syntax or semantic problem (unknown layer/orientation, instance of an
-/// undeclared cell, …).
+/// syntax or semantic problem (unknown layer/orientation, inverted
+/// rectangle, instance of an undeclared cell, …).
 pub fn parse_layout(text: &str) -> Result<Layout, GeomError> {
     let mut layout = Layout::new();
     let mut current: Option<CellLayout> = None;
@@ -135,6 +135,14 @@ pub fn parse_layout(text: &str) -> Result<Layout, GeomError> {
     };
     let int = |line: usize, s: &str| -> Result<i64, GeomError> {
         s.parse().map_err(|_| err(line, "expected an integer"))
+    };
+    let rect = |line: usize, corners: [&str; 4]| -> Result<Rect, GeomError> {
+        let [x0, y0, x1, y1] = corners.map(|s| int(line, s));
+        let (x0, y0, x1, y1) = (x0?, y0?, x1?, y1?);
+        if x0 > x1 || y0 > y1 {
+            return Err(err(line, "inverted rectangle"));
+        }
+        Ok(Rect::new(Nm(x0), Nm(y0), Nm(x1), Nm(y1)))
     };
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -151,12 +159,7 @@ pub fn parse_layout(text: &str) -> Result<Layout, GeomError> {
                 if current.is_some() {
                     return Err(err(lineno, "nested CELL"));
                 }
-                let outline = Rect::new(
-                    Nm(int(lineno, x0)?),
-                    Nm(int(lineno, y0)?),
-                    Nm(int(lineno, x1)?),
-                    Nm(int(lineno, y1)?),
-                );
+                let outline = rect(lineno, [x0, y0, x1, y1])?;
                 current = Some(CellLayout::new(*name, outline));
             }
             ["RECT", layer, x0, y0, x1, y1] => {
@@ -164,15 +167,7 @@ pub fn parse_layout(text: &str) -> Result<Layout, GeomError> {
                     .as_mut()
                     .ok_or_else(|| err(lineno, "RECT outside a CELL"))?;
                 let layer = parse_layer(layer).ok_or_else(|| err(lineno, "unknown layer"))?;
-                cell.push(Shape::new(
-                    layer,
-                    Rect::new(
-                        Nm(int(lineno, x0)?),
-                        Nm(int(lineno, y0)?),
-                        Nm(int(lineno, x1)?),
-                        Nm(int(lineno, y1)?),
-                    ),
-                ));
+                cell.push(Shape::new(layer, rect(lineno, [x0, y0, x1, y1])?));
             }
             ["ENDCELL"] => {
                 let cell = current

@@ -215,6 +215,9 @@ pub fn parse(text: &str, library: &Library) -> Result<MappedNetlist, NetlistErro
             let p_close = conn
                 .rfind(')')
                 .ok_or_else(|| err(line, "connection missing `)`"))?;
+            if p_close < p_open {
+                return Err(err(line, "mismatched parentheses"));
+            }
             let pin = conn[..p_open].trim().to_string();
             let net = conn[p_open + 1..p_close].trim().to_string();
             if pin.is_empty() || net.is_empty() {

@@ -1,5 +1,5 @@
-//! Heap-allocation telemetry: a [`GlobalAlloc`] wrapper attributing
-//! allocation count and bytes to the innermost active span.
+//! Heap-allocation telemetry: a [`GlobalAlloc`] wrapper counting
+//! allocations, and per-span figures read back from the registry.
 //!
 //! The workspace's litho/STA hot paths are allocation-sensitive (scratch
 //! buffers, memo keys), so knowing *which span* allocates is as valuable
@@ -11,29 +11,35 @@
 //! static ALLOC: svt_obs::alloc::CountingAlloc = svt_obs::alloc::CountingAlloc::system();
 //! ```
 //!
-//! # Safety discipline
+//! # Attribution
 //!
-//! The recording hook runs *inside* `malloc`, so it must never allocate,
-//! lock, or panic. It therefore touches only relaxed atomics and a
-//! const-initialized thread-local [`Cell`] (no lazy allocation), and
-//! attributes to the innermost span's **leaf name** (a `&'static str`
-//! pushed by [`crate::span`]) rather than the joined `/`-path, which
-//! would require building a `String`. Two different spans sharing a leaf
-//! name aggregate together; every leaf in this workspace is unique enough
-//! in practice.
+//! The hook knows nothing about spans. It bumps the process totals
+//! ([`totals`]) and two per-thread counters. A [`crate::Span`] reads the
+//! thread's counters when it opens and when it drops, and records the
+//! difference into its [`crate::SpanStat`] next to its time, so a span's
+//! allocation figure is *inclusive* (child spans count) and
+//! *same-thread* (a pool task's allocations belong to the task's own
+//! span, which roots at its own name). [`snapshot_sites`] derives the
+//! per-leaf view: each span's self allocations (inclusive minus direct
+//! children, [`crate::registry::self_values`]) summed by leaf name. Two
+//! span paths sharing a leaf name aggregate together; every leaf in this
+//! workspace is unique enough in practice. Figures cover completed spans
+//! only, so a span that is still open shows nothing yet.
 //!
 //! # Cost contract
 //!
-//! Mirrors the rest of `svt-obs`: compiled out entirely without the
-//! `alloc-telemetry` feature, and when compiled in but not activated (the
-//! default) the hook is **one relaxed atomic load** before falling
-//! through to the real allocator. [`set_active`] turns recording on —
-//! `svtd` and `bench_pipeline` do this explicitly; batch runs never pay.
+//! The hook runs *inside* `malloc`, so it never allocates, locks, or
+//! panics: it touches relaxed atomics and const-initialized thread-local
+//! [`Cell`]s (no lazy initializer). Mirrors the rest of `svt-obs`:
+//! compiled out entirely without the `alloc-telemetry` feature, and when
+//! compiled in but not activated (the default) the hook is **one relaxed
+//! atomic load** before falling through to the real allocator.
+//! [`set_active`] turns recording on — `svtd` and `bench_pipeline` do
+//! this explicitly; batch runs never pay.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Runtime switch; off by default so the hook costs one relaxed load.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -41,33 +47,33 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 /// Process-wide allocation totals (count, bytes) while active.
 static TOTAL_COUNT: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Allocations that could not claim a table slot (table full).
-static UNATTRIBUTED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Leaf name of the innermost active span on this thread, maintained
-    /// by `span()` / `Span::drop`. Const-init: reading it from the
-    /// allocation hook never triggers a lazy TLS initializer.
-    static CURRENT_SPAN: Cell<Option<&'static str>> = const { Cell::new(None) };
+    /// This thread's allocation count and bytes while active. Const-init
+    /// and drop-free: reading them from the hook never runs a lazy TLS
+    /// initializer or registers a destructor.
+    static THREAD_COUNT: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Records the innermost active span for allocation attribution. Called
-/// by [`crate::span`] and `Span::drop`; `None` when the stack empties.
+/// This thread's running `(count, bytes)` allocation counters; a span
+/// keeps the difference between its open and its drop.
 #[inline]
-pub(crate) fn set_current_span(name: Option<&'static str>) {
-    if !cfg!(feature = "alloc-telemetry") {
-        return;
-    }
-    // `try_with` so a span guard dropped during thread teardown (after TLS
-    // destruction) degrades to "no attribution" instead of aborting.
-    let _ = CURRENT_SPAN.try_with(|slot| slot.set(name));
+pub(crate) fn thread_counters() -> (u64, u64) {
+    (
+        THREAD_COUNT.try_with(Cell::get).unwrap_or(0),
+        THREAD_BYTES.try_with(Cell::get).unwrap_or(0),
+    )
 }
 
-/// The span leaf name allocations on this thread currently attribute to.
-/// Exposed for tests asserting the panic-safety of the span stack.
+/// The leaf name of the innermost open span on this thread, or `None`
+/// outside any span (and whenever tracing is off).
 #[must_use]
 pub fn current_span() -> Option<&'static str> {
-    CURRENT_SPAN.try_with(Cell::get).ok().flatten()
+    crate::SPAN_STACK
+        .try_with(|stack| stack.borrow().last().copied())
+        .ok()
+        .flatten()
 }
 
 /// Turns allocation recording on or off at runtime. Independent of
@@ -83,34 +89,8 @@ pub fn active() -> bool {
     cfg!(feature = "alloc-telemetry") && ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Fixed-size open-addressing attribution table. Slots are keyed by the
-/// span name's *data pointer* (string literals are deduplicated per crate,
-/// so one span site maps to one slot); [`snapshot_sites`] merges by
-/// content in case two crates carry an identical literal at different
-/// addresses. Power of two for mask indexing.
-const SLOTS: usize = 128;
-
-struct Slot {
-    /// Data pointer of the owning span name; null = free.
-    name: AtomicPtr<u8>,
-    /// Byte length of the owning span name; stored after the pointer is
-    /// claimed, so readers skip slots still showing 0.
-    len: AtomicUsize,
-    count: AtomicU64,
-    bytes: AtomicU64,
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const FREE_SLOT: Slot = Slot {
-    name: AtomicPtr::new(ptr::null_mut()),
-    len: AtomicUsize::new(0),
-    count: AtomicU64::new(0),
-    bytes: AtomicU64::new(0),
-};
-
-static TABLE: [Slot; SLOTS] = [FREE_SLOT; SLOTS];
-
-/// The allocation hook proper: atomics only, no allocation, no panic.
+/// The allocation hook proper: atomics and TLS cells only, no
+/// allocation, no panic.
 #[inline]
 fn record_alloc(bytes: usize) {
     if !cfg!(feature = "alloc-telemetry") {
@@ -121,45 +101,15 @@ fn record_alloc(bytes: usize) {
     }
     TOTAL_COUNT.fetch_add(1, Ordering::Relaxed);
     TOTAL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    let Some(name) = CURRENT_SPAN.try_with(Cell::get).ok().flatten() else {
-        return;
-    };
-    let key = name.as_ptr().cast_mut();
-    let mut idx = (key as usize >> 4) & (SLOTS - 1);
-    for _ in 0..SLOTS {
-        let slot = &TABLE[idx];
-        let cur = slot.name.load(Ordering::Relaxed);
-        if cur != key {
-            if !cur.is_null() {
-                idx = (idx + 1) & (SLOTS - 1);
-                continue;
-            }
-            match slot.name.compare_exchange(
-                ptr::null_mut(),
-                key,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => slot.len.store(name.len(), Ordering::Release),
-                Err(winner) if winner == key => {}
-                Err(_) => {
-                    idx = (idx + 1) & (SLOTS - 1);
-                    continue;
-                }
-            }
-        }
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        return;
-    }
-    UNATTRIBUTED.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_COUNT.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
-/// Allocation totals attributed to one span leaf name.
+/// Self allocations of every span sharing one leaf name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocSite {
     /// Span leaf name the allocations happened under.
-    pub span: &'static str,
+    pub span: String,
     /// Number of heap allocations (realloc growth counts once).
     pub count: u64,
     /// Total bytes requested.
@@ -175,56 +125,41 @@ pub fn totals() -> (u64, u64) {
     )
 }
 
-/// Allocations that landed while no slot was claimable (full table).
-#[must_use]
-pub fn unattributed() -> u64 {
-    UNATTRIBUTED.load(Ordering::Relaxed)
-}
-
-/// Zeroes the totals and every per-span counter, keeping claimed slot
-/// names. Lets a benchmark isolate one measured section (warm up, reset,
-/// measure) instead of reporting cumulative process history. Counters
-/// racing with a live hook are zeroed on a best-effort basis — call it
-/// between sections, not under concurrent load.
+/// Zeroes the process totals. Lets a benchmark isolate one measured
+/// section (warm up, reset, measure) instead of reporting cumulative
+/// process history. The per-span figures live in the registry and reset
+/// with [`crate::Registry::reset_metrics`].
 pub fn reset() {
     TOTAL_COUNT.store(0, Ordering::Relaxed);
     TOTAL_BYTES.store(0, Ordering::Relaxed);
-    UNATTRIBUTED.store(0, Ordering::Relaxed);
-    for slot in &TABLE {
-        slot.count.store(0, Ordering::Relaxed);
-        slot.bytes.store(0, Ordering::Relaxed);
-    }
 }
 
-/// The per-span attribution table, merged by span name content and sorted
-/// by name. Cheap (reads at most one atomic triple per table slot); safe to call from a
-/// scrape handler while the hook is live.
+/// Self allocations per span leaf name, read from the registry's span
+/// aggregates and sorted by name. Leaves with no allocations are left
+/// out. Safe to call from a scrape handler while the hook is live.
 #[must_use]
 pub fn snapshot_sites() -> Vec<AllocSite> {
+    let spans = crate::registry().snapshot().spans;
+    let counts = crate::registry::self_values(&spans, |e| e.alloc_count);
+    let bytes = crate::registry::self_values(&spans, |e| e.alloc_bytes);
     let mut sites: Vec<AllocSite> = Vec::new();
-    for slot in &TABLE {
-        let name = slot.name.load(Ordering::Relaxed);
-        if name.is_null() {
+    for ((entry, count), bytes) in spans.iter().zip(counts).zip(bytes) {
+        if count == 0 {
             continue;
         }
-        let len = slot.len.load(Ordering::Acquire);
-        if len == 0 {
-            // Claimed a heartbeat ago; its length store hasn't landed.
-            continue;
-        }
-        // SAFETY: `name`/`len` were published from a `&'static str`'s data
-        // pointer and byte length, so the region is live, immutable UTF-8.
-        let span = unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(name, len)) };
-        let count = slot.count.load(Ordering::Relaxed);
-        let bytes = slot.bytes.load(Ordering::Relaxed);
-        if let Some(existing) = sites.iter_mut().find(|s| s.span == span) {
-            existing.count += count;
-            existing.bytes += bytes;
+        let leaf = entry.path.rsplit('/').next().unwrap_or(&entry.path);
+        if let Some(site) = sites.iter_mut().find(|s| s.span == leaf) {
+            site.count += count;
+            site.bytes += bytes;
         } else {
-            sites.push(AllocSite { span, count, bytes });
+            sites.push(AllocSite {
+                span: leaf.to_string(),
+                count,
+                bytes,
+            });
         }
     }
-    sites.sort_by(|a, b| a.span.cmp(b.span));
+    sites.sort_by(|a, b| a.span.cmp(&b.span));
     sites
 }
 
@@ -241,9 +176,6 @@ pub fn publish_gauges() {
     crate::registry()
         .gauge("alloc.total.bytes")
         .set(clamp(bytes));
-    crate::registry()
-        .gauge("alloc.unattributed.count")
-        .set(clamp(unattributed()));
     for site in snapshot_sites() {
         crate::registry()
             .gauge(&format!("alloc.span.{}.count", site.span))
@@ -255,9 +187,10 @@ pub fn publish_gauges() {
 }
 
 /// A [`GlobalAlloc`] wrapper that forwards to `A` and, while
-/// [`set_active`] is on, attributes each allocation to the innermost
-/// active span. Deallocations are forwarded untouched: the telemetry
-/// answers "who allocates", and churn shows up in `count` regardless.
+/// [`set_active`] is on, counts each allocation into the process totals
+/// and the calling thread's counters. Deallocations are forwarded
+/// untouched: the telemetry answers "who allocates", and churn shows up
+/// in `count` regardless.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAlloc<A = System>(A);
 
@@ -271,7 +204,7 @@ impl CountingAlloc<System> {
 }
 
 // SAFETY: forwards every call verbatim to the inner allocator; the
-// recording hook touches only atomics and a const-init TLS cell, so the
+// recording hook touches only atomics and const-init TLS cells, so the
 // GlobalAlloc contract (no unwinding, no reentrant allocation) holds.
 unsafe impl<A: GlobalAlloc> GlobalAlloc for CountingAlloc<A> {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {

@@ -4,7 +4,8 @@
 //!
 //! * [`metrics`] — lock-free primitives: [`Counter`], [`Gauge`],
 //!   [`Histogram`] (log2 ns buckets), and [`SpanStat`] (count/total/min/max
-//!   per span path). All updates are relaxed atomics.
+//!   ns plus same-thread allocations per span path). All updates are
+//!   relaxed atomics.
 //! * [`mod@registry`] — a sharded global [`Registry`] (lock-striped like
 //!   `svt-exec`'s memo cache) mapping names to leaked `&'static` handles,
 //!   plus cache-telemetry probes registered by the caches themselves.
@@ -15,6 +16,10 @@
 //!   path stack, so `span("flow")` containing `span("corner")` aggregates
 //!   under `"flow/corner"`. Worker threads start a fresh stack: a span
 //!   recorded inside a `svt-exec` pool task roots at its own name.
+//!
+//! The registry's [`SpanStat`]s are the only per-span store. The
+//! continuous profile ([`profile`]) and the per-leaf allocation figures
+//! ([`alloc::snapshot_sites`]) are views derived from a [`Snapshot`].
 //!
 //! # Overhead contract
 //!
@@ -245,17 +250,16 @@ thread_local! {
 }
 
 /// An RAII guard timing a region; created by [`span`]. Dropping the guard
-/// records the elapsed monotonic time under the guard's `/`-joined path.
+/// records the elapsed monotonic time, and the heap allocations this
+/// thread made meanwhile, under the guard's `/`-joined path.
 #[must_use = "a span guard measures until it is dropped"]
 #[derive(Debug)]
 pub struct Span {
     start: Option<Instant>,
     name: &'static str,
-    /// Heap bytes allocated process-wide when the span opened; only
-    /// sampled while the continuous profiler is armed, so the profile
-    /// can attribute allocation to stacks without touching the span's
-    /// disabled path.
-    alloc_start_bytes: u64,
+    /// This thread's `(count, bytes)` allocation counters when the span
+    /// opened (see [`alloc`]).
+    alloc_start: (u64, u64),
 }
 
 /// Opens a span named `name`, nested under any enclosing spans of this
@@ -267,23 +271,17 @@ pub fn span(name: &'static str) -> Span {
         return Span {
             start: None,
             name,
-            alloc_start_bytes: 0,
+            alloc_start: (0, 0),
         };
     }
     SPAN_STACK.with(|stack| stack.borrow_mut().push(name));
-    alloc::set_current_span(Some(name));
     if timeline_enabled() {
         timeline::record(timeline::Phase::Begin, name);
     }
-    let alloc_start_bytes = if profile::enabled() {
-        alloc::totals().1
-    } else {
-        0
-    };
     Span {
         start: Some(Instant::now()),
         name,
-        alloc_start_bytes,
+        alloc_start: alloc::thread_counters(),
     }
 }
 
@@ -291,6 +289,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed();
+        let (count, bytes) = alloc::thread_counters();
         if timeline_enabled() {
             timeline::record(timeline::Phase::End, self.name);
         }
@@ -298,18 +297,14 @@ impl Drop for Span {
             let mut stack = stack.borrow_mut();
             let path = stack.join("/");
             stack.pop();
-            alloc::set_current_span(stack.last().copied());
             path
         });
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        registry().span_stat(&path).record(ns);
-        // Profiler-off cost inside an enabled span: one relaxed load.
-        // The SAME ns value feeds both sinks, so the folded profile and
-        // the registry span aggregates agree exactly.
-        if profile::enabled() {
-            let alloc_bytes = alloc::totals().1.saturating_sub(self.alloc_start_bytes);
-            profile::record(&path, ns, alloc_bytes);
-        }
+        registry().span_stat(&path).record(
+            ns,
+            count.saturating_sub(self.alloc_start.0),
+            bytes.saturating_sub(self.alloc_start.1),
+        );
     }
 }
 
@@ -427,7 +422,7 @@ mod tests {
     // Mode state is process-global and the harness runs tests on parallel
     // threads, so every test flipping it holds this lock and restores
     // `Off` before returning.
-    fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

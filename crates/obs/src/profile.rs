@@ -1,30 +1,27 @@
-//! Always-on continuous profiler: collapsed span-stack aggregation with
-//! a hand-rolled flame-graph renderer.
+//! Continuous profiler: the registry's span aggregates rendered as
+//! collapsed stacks, JSON, or a hand-rolled flame-graph SVG.
 //!
-//! Every [`crate::Span`] drop already knows its full `/`-joined stack
-//! path and duration; when profiling is enabled, the drop additionally
-//! folds `(path, wall_ns, alloc_bytes)` into a sharded aggregation map
-//! here. The profile therefore stays consistent with the registry's
-//! [`crate::SpanEntry`] aggregates by construction — the wall-ns folded
-//! under a stack equals the `total_ns` of the same span path, which the
-//! profiler differential test asserts exactly on a single-threaded run.
+//! There is no profiler store. Every [`crate::Span`] drop records its
+//! time and same-thread allocations into the registry's
+//! [`crate::SpanStat`] for its `/`-joined path, and the renderers here
+//! read a snapshot of those aggregates ([`crate::Snapshot::spans`]).
+//! Each path's `total_ns` is inclusive (children's time is also inside
+//! their ancestors' paths); the renderers derive self time as
+//! `inclusive − Σ direct children` ([`crate::registry::self_values`]).
+//! A path's `alloc_bytes` is the bytes allocated on the span's own thread
+//! while it was open, children included (0 unless [`crate::alloc`] was
+//! active).
 //!
-//! # Cost contract
-//!
-//! Mirrors `SVT_TRACE`: disabled (the default), the only cost is **one
-//! relaxed atomic load** inside an already-enabled span drop — and spans
-//! themselves are inert when tracing is off, so batch runs pay nothing
-//! at all. Enabled, each span drop takes one shard lock (the same order
-//! of cost as the registry's own `span_stat` lookup on that path).
-//! `SVT_PROFILE=1`/`on` arms it from the environment; `svtd` arms it
-//! explicitly at boot.
+//! [`enabled`] only decides whether `svtd` answers `/debug/profile`:
+//! `SVT_PROFILE=1`/`on` arms it from the environment, and `svtd` arms it
+//! explicitly at boot. It adds no work to any span.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Environment variable arming the profiler (`1`, `true`, or `on`).
+use crate::registry::{self_values, SpanEntry};
+
+/// Environment variable arming `/debug/profile` (`1`, `true`, or `on`).
 pub const PROFILE_ENV: &str = "SVT_PROFILE";
 
 const STATE_UNSET: u8 = 0;
@@ -46,8 +43,7 @@ fn init_from_env() -> u8 {
     code
 }
 
-/// Whether stack folding is active. One relaxed load after the first
-/// call — this is the only cost a profiler-off span drop pays.
+/// Whether the profile is served. One relaxed load after the first call.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
@@ -57,115 +53,23 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Arms or disarms the profiler at runtime, overriding `SVT_PROFILE`.
+/// Arms or disarms `/debug/profile` at runtime, overriding `SVT_PROFILE`.
 pub fn set_enabled(on: bool) {
     STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
 }
 
-/// Aggregate of one collapsed stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Agg {
-    count: u64,
-    wall_ns: u64,
-    alloc_bytes: u64,
-}
-
-const SHARDS: usize = 16;
-
-fn shards() -> &'static [Mutex<HashMap<String, Agg>>; SHARDS] {
-    static SHARDS_CELL: OnceLock<[Mutex<HashMap<String, Agg>>; SHARDS]> = OnceLock::new();
-    SHARDS_CELL.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashMap::new())))
-}
-
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Folds one completed span into the profile under its `/`-joined stack
-/// path. Called from [`crate::Span`]'s drop with the **same** duration
-/// it records into the registry, so the two stay bit-consistent.
-pub fn record(stack: &str, wall_ns: u64, alloc_bytes: u64) {
-    let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(stack);
-    let shard = &shards()[(hash >> 32) as usize & (SHARDS - 1)];
-    let mut map = lock_recovering(shard);
-    // Look up before inserting: `entry` would allocate the key on every
-    // span drop, not just on a stack's first sight.
-    let agg = match map.get_mut(stack) {
-        Some(agg) => agg,
-        None => map.entry(stack.to_string()).or_default(),
-    };
-    agg.count += 1;
-    agg.wall_ns += wall_ns;
-    agg.alloc_bytes += alloc_bytes;
-}
-
-/// One collapsed stack in a profile snapshot. `wall_ns` is inclusive
-/// (children's time is also inside their ancestors' stacks — exactly as
-/// span aggregation works); the renderers derive self time as
-/// `inclusive − Σ direct children`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StackEntry {
-    /// `/`-separated span stack, root first.
-    pub stack: String,
-    /// Completed spans folded under this exact stack.
-    pub count: u64,
-    /// Inclusive wall nanoseconds.
-    pub wall_ns: u64,
-    /// Inclusive heap bytes allocated while the stack was innermost-open
-    /// (0 unless alloc telemetry was active).
-    pub alloc_bytes: u64,
-}
-
-/// The profile so far, sorted by stack path.
-#[must_use]
-pub fn snapshot() -> Vec<StackEntry> {
-    let mut entries: Vec<StackEntry> = Vec::new();
-    for shard in shards() {
-        for (stack, agg) in lock_recovering(shard).iter() {
-            entries.push(StackEntry {
-                stack: stack.clone(),
-                count: agg.count,
-                wall_ns: agg.wall_ns,
-                alloc_bytes: agg.alloc_bytes,
-            });
-        }
-    }
-    entries.sort_by(|a, b| a.stack.cmp(&b.stack));
-    entries
-}
-
-/// Discards every folded stack (benchmark sections, tests).
-pub fn reset() {
-    for shard in shards() {
-        lock_recovering(shard).clear();
-    }
-}
-
-/// Self wall-ns of `entry` within `entries`: inclusive time minus the
-/// inclusive time of its direct children (clamped at zero — relaxed
-/// counters can skew a few ns between parent and child).
-#[must_use]
-pub fn self_ns(entry: &StackEntry, entries: &[StackEntry]) -> u64 {
-    let prefix = format!("{}/", entry.stack);
-    let children: u64 = entries
-        .iter()
-        .filter(|e| e.stack.starts_with(&prefix) && !e.stack[prefix.len()..].contains('/'))
-        .map(|e| e.wall_ns)
-        .sum();
-    entry.wall_ns.saturating_sub(children)
-}
-
 /// Renders the profile in Brendan-Gregg collapsed form — one
-/// `seg;seg;seg self_wall_ns` line per stack, the format every flame
-/// graph tool ingests. Stacks whose self time rounds to zero still
-/// print (count carries information), sorted by path.
+/// `seg;seg;seg self_wall_ns` line per span path, the format every flame
+/// graph tool ingests. Paths whose self time rounds to zero still print
+/// (count carries information), in entry order.
 #[must_use]
-pub fn render_collapsed(entries: &[StackEntry]) -> String {
-    let mut out = String::with_capacity(entries.len() * 48);
-    for entry in entries {
-        out.push_str(&entry.stack.replace('/', ";"));
+pub fn render_collapsed(spans: &[SpanEntry]) -> String {
+    let self_ns = self_values(spans, |e| e.total_ns);
+    let mut out = String::with_capacity(spans.len() * 48);
+    for (entry, self_ns) in spans.iter().zip(self_ns) {
+        out.push_str(&entry.path.replace('/', ";"));
         out.push(' ');
-        out.push_str(&self_ns(entry, entries).to_string());
+        out.push_str(&self_ns.to_string());
         out.push('\n');
     }
     out
@@ -173,18 +77,18 @@ pub fn render_collapsed(entries: &[StackEntry]) -> String {
 
 /// Renders the profile as a JSON array of stack objects.
 #[must_use]
-pub fn to_json(entries: &[StackEntry]) -> String {
+pub fn to_json(spans: &[SpanEntry]) -> String {
+    let self_ns = self_values(spans, |e| e.total_ns);
     let mut out = String::from("{\"stacks\":[");
-    for (i, e) in entries.iter().enumerate() {
+    for (i, (e, self_ns)) in spans.iter().zip(self_ns).enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"stack\":\"{}\",\"count\":{},\"wall_ns\":{},\"self_ns\":{},\"alloc_bytes\":{}}}",
-            crate::json::escape_json(&e.stack),
+            "{{\"stack\":\"{}\",\"count\":{},\"wall_ns\":{},\"self_ns\":{self_ns},\"alloc_bytes\":{}}}",
+            crate::json::escape_json(&e.path),
             e.count,
-            e.wall_ns,
-            self_ns(e, entries),
+            e.total_ns,
             e.alloc_bytes
         ));
     }
@@ -203,7 +107,7 @@ struct Node {
     children: Vec<Node>,
 }
 
-fn build_tree(entries: &[StackEntry]) -> Node {
+fn build_tree(spans: &[SpanEntry]) -> Node {
     let mut root = Node {
         name: "all".to_string(),
         value: 0,
@@ -211,9 +115,9 @@ fn build_tree(entries: &[StackEntry]) -> Node {
         alloc_bytes: 0,
         children: Vec::new(),
     };
-    for entry in entries {
+    for entry in spans {
         let mut node = &mut root;
-        for seg in entry.stack.split('/') {
+        for seg in entry.path.split('/') {
             let pos = node.children.iter().position(|c| c.name == seg);
             let idx = match pos {
                 Some(idx) => idx,
@@ -230,7 +134,7 @@ fn build_tree(entries: &[StackEntry]) -> Node {
             };
             node = &mut node.children[idx];
         }
-        node.value += entry.wall_ns;
+        node.value += entry.total_ns;
         node.count += entry.count;
         node.alloc_bytes += entry.alloc_bytes;
     }
@@ -267,8 +171,8 @@ fn xml_escape(s: &str) -> String {
 /// frames, width proportional to inclusive wall time, hover titles with
 /// exact ns/count/alloc figures. No scripts, no external assets.
 #[must_use]
-pub fn render_flame_svg(entries: &[StackEntry]) -> String {
-    let root = build_tree(entries);
+pub fn render_flame_svg(spans: &[SpanEntry]) -> String {
+    let root = build_tree(spans);
     fn depth_of(node: &Node) -> usize {
         1 + node.children.iter().map(depth_of).max().unwrap_or(0)
     }
@@ -280,7 +184,7 @@ pub fn render_flame_svg(entries: &[StackEntry]) -> String {
          font-family=\"monospace\" font-size=\"11\">\n\
          <rect width=\"100%\" height=\"100%\" fill=\"#f8f8f8\"/>\n\
          <text x=\"8\" y=\"16\">svt continuous profile — {} stacks, {} ns total</text>\n",
-        entries.len(),
+        spans.len(),
         root.value
     );
     #[allow(clippy::cast_precision_loss)]
@@ -329,72 +233,136 @@ pub fn render_flame_svg(entries: &[StackEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceMode;
 
-    // The fold map is process-global; tests that reset it serialize.
-    fn profile_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    fn entry(path: &str, count: u64, total_ns: u64, alloc_bytes: u64) -> SpanEntry {
+        SpanEntry {
+            path: path.into(),
+            count,
+            total_ns,
+            alloc_bytes,
+            ..SpanEntry::default()
+        }
     }
 
     #[test]
-    fn folding_aggregates_by_stack() {
-        let _guard = profile_lock();
-        reset();
-        record("a", 100, 10);
-        record("a/b", 60, 4);
-        record("a/b", 40, 2);
-        record("a/c", 10, 0);
-        let snap = snapshot();
-        let ab = snap.iter().find(|e| e.stack == "a/b").unwrap();
-        assert_eq!((ab.count, ab.wall_ns, ab.alloc_bytes), (2, 100, 6));
-        let a = snap.iter().find(|e| e.stack == "a").unwrap();
-        assert_eq!(self_ns(a, &snap), 0, "children consume all of a's time");
-        let collapsed = render_collapsed(&snap);
-        assert!(collapsed.contains("a;b 100"));
-        assert!(collapsed.contains("a;c 10"));
-        reset();
+    fn real_spans_fold_by_path_and_self_time_subtracts_direct_children() {
+        // A deterministic nested workload: repeated roots with two
+        // children, one of which recurses one level deeper. Work inside
+        // each span is real (a checksum loop) so wall times are non-zero.
+        let _guard = crate::tests::mode_lock();
+        crate::set_mode(TraceMode::Summary);
+        let mut checksum = 0u64;
+        for round in 0..25u64 {
+            let _root = crate::span("t.prof.root");
+            {
+                let _a = crate::span("t.prof.parse");
+                for i in 0..200 {
+                    checksum = checksum
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(i);
+                }
+            }
+            let _b = crate::span("t.prof.solve");
+            for i in 0..400 {
+                checksum = checksum
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(i);
+            }
+            if round % 2 == 0 {
+                let _c = crate::span("t.prof.refine");
+                for i in 0..100u64 {
+                    checksum ^= i.wrapping_mul(round);
+                }
+            }
+        }
+        crate::set_mode(TraceMode::Off);
+        assert_ne!(checksum, 0, "workload optimized away");
+
+        let ours: Vec<SpanEntry> = crate::registry()
+            .snapshot()
+            .spans
+            .into_iter()
+            .filter(|e| e.path.starts_with("t.prof.root"))
+            .collect();
+        let paths: Vec<(&str, u64)> = ours.iter().map(|e| (e.path.as_str(), e.count)).collect();
+        assert_eq!(
+            paths,
+            [
+                ("t.prof.root", 25),
+                ("t.prof.root/t.prof.parse", 25),
+                ("t.prof.root/t.prof.solve", 25),
+                ("t.prof.root/t.prof.solve/t.prof.refine", 13),
+            ]
+        );
+        let (solve, refine) = (&ours[2], &ours[3]);
+        assert!(
+            solve.total_ns >= refine.total_ns,
+            "child wider than parent: solve {} < refine {}",
+            solve.total_ns,
+            refine.total_ns
+        );
+        let self_ns = self_values(&ours, |e| e.total_ns);
+        assert_eq!(
+            self_ns[2],
+            solve.total_ns - refine.total_ns,
+            "self time must subtract exactly the direct children"
+        );
+        assert_eq!(
+            self_ns[0],
+            ours[0]
+                .total_ns
+                .saturating_sub(ours[1].total_ns + solve.total_ns),
+            "grandchildren are not subtracted twice"
+        );
+        let collapsed = render_collapsed(&ours);
+        assert!(collapsed.contains(&format!("t.prof.root;t.prof.solve {}\n", self_ns[2])));
+    }
+
+    #[test]
+    fn collapsed_lines_carry_self_time() {
+        let spans = [
+            entry("a", 1, 100, 10),
+            entry("a/b", 2, 100, 6),
+            entry("a/c", 1, 10, 0),
+        ];
+        assert_eq!(render_collapsed(&spans), "a 0\na;b 100\na;c 10\n");
     }
 
     #[test]
     fn flame_svg_nests_frames_and_is_well_formed() {
-        let _guard = profile_lock();
-        reset();
-        record("root", 1_000_000, 0);
-        record("root/work", 800_000, 128);
-        record("root/work/inner", 500_000, 64);
-        let snap = snapshot();
-        let svg = render_flame_svg(&snap);
+        let spans = [
+            entry("root", 1, 1_000_000, 0),
+            entry("root/work", 1, 800_000, 128),
+            entry("root/work/inner", 1, 500_000, 64),
+        ];
+        let svg = render_flame_svg(&spans);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         assert!(svg.contains(">root:"), "hover title present");
+        assert!(svg.contains("128 alloc bytes"), "hover carries alloc bytes");
         assert!(svg.contains("inner"), "deep frame rendered");
         assert_eq!(
             svg.matches("<rect").count() - 1, // minus the background
             4,                                // all + root + work + inner
             "one frame rect per tree node"
         );
-        reset();
     }
 
     #[test]
     fn json_rendering_parses() {
-        let _guard = profile_lock();
-        reset();
-        record("x/y", 42, 7);
-        let json = to_json(&snapshot());
+        let json = to_json(&[entry("x", 1, 50, 0), entry("x/y", 3, 42, 7)]);
         let doc = crate::json::JsonValue::parse(&json).expect("profile JSON parses");
         let stacks = doc
             .get("stacks")
             .and_then(crate::json::JsonValue::as_array)
             .unwrap();
-        assert_eq!(stacks.len(), 1);
-        assert_eq!(
-            stacks[0]
-                .get("wall_ns")
-                .and_then(crate::json::JsonValue::as_u64),
-            Some(42)
-        );
-        reset();
+        assert_eq!(stacks.len(), 2);
+        let field =
+            |i: usize, key: &str| stacks[i].get(key).and_then(crate::json::JsonValue::as_u64);
+        assert_eq!(field(1, "wall_ns"), Some(42));
+        assert_eq!(field(1, "alloc_bytes"), Some(7));
+        assert_eq!(field(0, "self_ns"), Some(8));
     }
 
     #[test]

@@ -260,6 +260,8 @@ impl Registry {
                         total_ns: s.total_ns(),
                         min_ns: s.min_ns(),
                         max_ns: s.max_ns(),
+                        alloc_count: s.alloc_count(),
+                        alloc_bytes: s.alloc_bytes(),
                     }),
                     Metric::CounterFamily(f) => counter_families.push(CounterFamilyEntry {
                         name: name.clone(),
@@ -298,7 +300,7 @@ impl Registry {
 }
 
 /// One span path in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanEntry {
     /// `/`-separated span path.
     pub path: String,
@@ -310,6 +312,32 @@ pub struct SpanEntry {
     pub min_ns: u64,
     /// Longest span.
     pub max_ns: u64,
+    /// Heap allocations made on the span's own thread while it was open,
+    /// child spans included (0 unless [`crate::alloc`] was active).
+    pub alloc_count: u64,
+    /// Heap bytes requested on the span's own thread while it was open.
+    pub alloc_bytes: u64,
+}
+
+/// The *self* part of an inclusive per-span figure: for each entry of
+/// `spans`, `value(entry)` minus `value` of its direct children present
+/// in `spans` (clamped at zero — relaxed counters can skew a few units
+/// between a parent and its children). Returned in entry order.
+#[must_use]
+pub fn self_values(spans: &[SpanEntry], value: impl Fn(&SpanEntry) -> u64) -> Vec<u64> {
+    let index: HashMap<&str, usize> = spans
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.path.as_str(), i))
+        .collect();
+    let mut out: Vec<u64> = spans.iter().map(&value).collect();
+    for entry in spans {
+        let parent = entry.path.rsplit_once('/').and_then(|(p, _)| index.get(p));
+        if let Some(&p) = parent {
+            out[p] = out[p].saturating_sub(value(entry));
+        }
+    }
+    out
 }
 
 /// One histogram in a snapshot.
@@ -411,7 +439,7 @@ mod tests {
         r.counter("test.snap.a").add(1);
         r.gauge("test.snap.g").set(-4);
         r.histogram("test.snap.h").record(100);
-        r.span_stat("test.snap/span").record(50);
+        r.span_stat("test.snap/span").record(50, 0, 0);
         r.register_cache("test.snap.cache", || CacheCounters {
             hits: 9,
             misses: 1,

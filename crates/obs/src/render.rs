@@ -580,6 +580,7 @@ mod tests {
                     total_ns: 2_500_000,
                     min_ns: 2_500_000,
                     max_ns: 2_500_000,
+                    ..SpanEntry::default()
                 },
                 SpanEntry {
                     path: "flow/corner".into(),
@@ -587,6 +588,7 @@ mod tests {
                     total_ns: 1_500_000,
                     min_ns: 400_000,
                     max_ns: 600_000,
+                    ..SpanEntry::default()
                 },
             ],
             counters: vec![("exec.pool.tasks".into(), 42)],
@@ -833,6 +835,7 @@ mod tests {
                 total_ns: 50,
                 min_ns: 10,
                 max_ns: 10,
+                ..SpanEntry::default()
             });
             snap.spans.sort_by(|a, b| a.path.cmp(&b.path));
             let text = snap.to_prometheus();

@@ -35,8 +35,8 @@
 //! The daemon always runs the long-horizon observability plane: a
 //! sampler thread scrapes the metric registry every `--sample-ms`
 //! (default 1000) into the embedded tiered time-series store behind
-//! `GET /query` and `GET /dashboard`, and the continuous profiler
-//! aggregates every span into the flame graph at
+//! `GET /query` and `GET /dashboard`, and the registry's span
+//! aggregates render as the flame graph at
 //! `GET /debug/profile?format=collapsed|json|svg`. `--slo` declares
 //! burn-rate objectives evaluated from those rings each tick; a breach
 //! degrades `/healthz` to 503 and triggers the post-mortem dump.
@@ -67,8 +67,8 @@ use svt_obs::alloc::CountingAlloc;
 use svt_serve::server::{DesignSpec, Server, ServerOptions, ServiceState};
 use svt_serve::smoke::{run_smoke_full, run_smoke_slo, SmokeOptions};
 
-// Attribute every allocation in the daemon to the innermost active
-// span; the hook is inert until `alloc::set_active(true)` below.
+// Count every allocation in the daemon, per process and per span; the
+// hook is inert until `alloc::set_active(true)` below.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::system();
 
@@ -271,8 +271,8 @@ fn main() -> ExitCode {
         svt_obs::set_mode(svt_obs::TraceMode::Chrome);
     }
     svt_obs::alloc::set_active(true);
-    // The daemon keeps the continuous profiler on so /debug/profile
-    // always has stacks; an explicit SVT_PROFILE=0 still wins.
+    // The daemon answers /debug/profile by default; an explicit
+    // SVT_PROFILE=0 still wins.
     if std::env::var_os(svt_obs::profile::PROFILE_ENV).is_none() {
         svt_obs::profile::set_enabled(true);
     }

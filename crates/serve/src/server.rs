@@ -1066,9 +1066,9 @@ fn tsdb_query(req_path: &str) -> Response {
     }
 }
 
-/// `GET /debug/profile?format=collapsed|json|svg`: the continuous
-/// profiler's aggregated stacks, as folded text (default), JSON, or a
-/// self-contained flame-graph SVG.
+/// `GET /debug/profile?format=collapsed|json|svg`: the registry's span
+/// aggregates as folded stacks (default), JSON, or a self-contained
+/// flame-graph SVG.
 fn debug_profile(req_path: &str) -> Response {
     let format = query_param(req_path, "format").unwrap_or_else(|| "collapsed".to_string());
     if !svt_obs::profile::enabled() {
@@ -1077,7 +1077,7 @@ fn debug_profile(req_path: &str) -> Response {
             "profiler disabled (set SVT_PROFILE=1 or run under svtd, which enables it)",
         );
     }
-    let entries = svt_obs::profile::snapshot();
+    let entries = svt_obs::registry().snapshot().spans;
     match format.as_str() {
         "collapsed" => Response {
             status: 200,

@@ -168,22 +168,15 @@ impl<'a> Lexer<'a> {
     }
 
     fn next_token(&mut self) -> Result<Token, StdcellError> {
-        let bytes = self.src.as_bytes();
-        while self.pos < bytes.len() {
-            let c = bytes[self.pos] as char;
-            if c == '\n' {
-                self.line += 1;
-                self.pos += 1;
-            } else if c.is_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos >= bytes.len() {
+        // Lex by `char`, not by byte: outside input may hold multi-byte
+        // UTF-8, and every slice below must end on a char boundary.
+        let rest = &self.src[self.pos..];
+        let text = rest.trim_start();
+        self.line += rest[..rest.len() - text.len()].matches('\n').count();
+        self.pos += rest.len() - text.len();
+        let Some(c) = text.chars().next() else {
             return Ok(Token::Eof);
-        }
-        let c = bytes[self.pos] as char;
+        };
         let simple = match c {
             '(' => Some(Token::LParen),
             ')' => Some(Token::RParen),
@@ -199,33 +192,20 @@ impl<'a> Lexer<'a> {
             return Ok(tok);
         }
         if c == '"' {
-            let start = self.pos + 1;
-            let mut end = start;
-            while end < bytes.len() && bytes[end] as char != '"' {
-                if bytes[end] as char == '\n' {
-                    self.line += 1;
-                }
-                end += 1;
-            }
-            if end >= bytes.len() {
+            let body = &text[1..];
+            let Some(end) = body.find('"') else {
+                self.line += body.matches('\n').count();
                 return Err(self.error("unterminated string"));
-            }
-            self.pos = end + 1;
-            return Ok(Token::Str(self.src[start..end].to_string()));
+            };
+            self.line += body[..end].matches('\n').count();
+            self.pos += end + 2;
+            return Ok(Token::Str(body[..end].to_string()));
         }
-        if c.is_alphanumeric() || c == '_' || c == '.' || c == '-' || c == '+' {
-            let start = self.pos;
-            let mut end = start;
-            while end < bytes.len() {
-                let ch = bytes[end] as char;
-                if ch.is_alphanumeric() || "_.-+".contains(ch) {
-                    end += 1;
-                } else {
-                    break;
-                }
-            }
-            self.pos = end;
-            return Ok(Token::Ident(self.src[start..end].to_string()));
+        let ident = |ch: char| ch.is_alphanumeric() || "_.-+".contains(ch);
+        if ident(c) {
+            let end = text.find(|ch| !ident(ch)).unwrap_or(text.len());
+            self.pos += end;
+            return Ok(Token::Ident(text[..end].to_string()));
         }
         Err(self.error(format!("unexpected character `{c}`")))
     }
@@ -473,6 +453,11 @@ impl<'a> Parser<'a> {
 pub fn parse_library(text: &str) -> Result<(String, Vec<CharacterizedCell>), StdcellError> {
     let mut parser = Parser::new(text);
     let root = parser.group()?;
+    if parser.peek()? != Token::Eof {
+        return Err(parser
+            .lexer
+            .error("unexpected content after the library group"));
+    }
     if root.name != "library" {
         return Err(StdcellError::ParseLibertyError {
             line: 1,
